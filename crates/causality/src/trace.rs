@@ -102,12 +102,16 @@ impl MsgRecord {
 }
 
 /// Incrementally records events during a run; finalize with
-/// [`TraceBuilder::finish`].
+/// [`TraceBuilder::finish`], or borrow what has been recorded so far with
+/// [`TraceBuilder::view`].
+///
+/// Every recorded message keeps its slot in an id map, so rejecting a
+/// reused id on send and an unknown or repeated receive are one hash
+/// lookup each, whatever the length of the history.
 #[derive(Debug, Clone)]
 pub struct TraceBuilder {
-    ckpts: Vec<Vec<CkptRecord>>,
-    msgs: Vec<MsgRecord>,
-    open: HashMap<MsgId, usize>,
+    trace: Trace,
+    slots: HashMap<MsgId, usize>,
     last_time: Vec<f64>,
 }
 
@@ -126,16 +130,18 @@ impl TraceBuilder {
             })
             .collect();
         TraceBuilder {
-            ckpts,
-            msgs: Vec::new(),
-            open: HashMap::new(),
+            trace: Trace {
+                ckpts,
+                msgs: Vec::new(),
+            },
+            slots: HashMap::new(),
             last_time: vec![0.0; n],
         }
     }
 
     /// Number of processes.
     pub fn n_procs(&self) -> usize {
-        self.ckpts.len()
+        self.trace.n_procs()
     }
 
     fn check_time(&mut self, p: ProcId, time: f64) {
@@ -150,8 +156,9 @@ impl TraceBuilder {
     /// Records a checkpoint of `p` and returns its ordinal.
     pub fn checkpoint(&mut self, p: ProcId, time: f64, index: u64, kind: CkptKind) -> usize {
         self.check_time(p, time);
-        let ordinal = self.ckpts[p.idx()].len();
-        self.ckpts[p.idx()].push(CkptRecord {
+        let seq = &mut self.trace.ckpts[p.idx()];
+        let ordinal = seq.len();
+        seq.push(CkptRecord {
             ordinal,
             time,
             index,
@@ -163,14 +170,13 @@ impl TraceBuilder {
     /// Records that `from` sent message `id` to `to`.
     pub fn send(&mut self, id: MsgId, from: ProcId, to: ProcId, time: f64) {
         self.check_time(from, time);
+        let slot = self.trace.msgs.len();
         assert!(
-            !self.open.contains_key(&id)
-                && self.msgs.iter().all(|m| m.id != id),
+            self.slots.insert(id, slot).is_none(),
             "duplicate message id {id:?}"
         );
-        let send_interval = self.ckpts[from.idx()].len() - 1;
-        self.open.insert(id, self.msgs.len());
-        self.msgs.push(MsgRecord {
+        let send_interval = self.trace.ckpts[from.idx()].len() - 1;
+        self.trace.msgs.push(MsgRecord {
             id,
             from,
             to,
@@ -184,13 +190,15 @@ impl TraceBuilder {
     /// Records that message `id` was received (must have been sent first).
     pub fn recv(&mut self, id: MsgId, time: f64) {
         let slot = self
-            .open
-            .remove(&id)
+            .slots
+            .get(&id)
+            .copied()
+            .filter(|&s| self.trace.msgs[s].recv_interval.is_none())
             .unwrap_or_else(|| panic!("receive of unknown or already-received message {id:?}"));
-        let to = self.msgs[slot].to;
+        let to = self.trace.msgs[slot].to;
         self.check_time(to, time);
-        let recv_interval = self.ckpts[to.idx()].len() - 1;
-        let m = &mut self.msgs[slot];
+        let recv_interval = self.trace.ckpts[to.idx()].len() - 1;
+        let m = &mut self.trace.msgs[slot];
         m.recv_interval = Some(recv_interval);
         m.recv_time = Some(time);
     }
@@ -198,25 +206,19 @@ impl TraceBuilder {
     /// Number of checkpoints recorded so far for `p` (including the initial
     /// one).
     pub fn n_checkpoints(&self, p: ProcId) -> usize {
-        self.ckpts[p.idx()].len()
+        self.trace.ckpts[p.idx()].len()
+    }
+
+    /// Everything recorded so far, borrowed for mid-run analyses (e.g.
+    /// planning recovery at a crash while the simulation continues). The
+    /// builder keeps recording once the borrow ends.
+    pub fn view(&self) -> &Trace {
+        &self.trace
     }
 
     /// Finalizes the trace.
     pub fn finish(self) -> Trace {
-        Trace {
-            ckpts: self.ckpts,
-            msgs: self.msgs,
-        }
-    }
-
-    /// An immutable copy of everything recorded so far, for mid-run
-    /// analyses (e.g. planning recovery at a crash while the simulation
-    /// continues). The builder keeps recording afterwards.
-    pub fn snapshot(&self) -> Trace {
-        Trace {
-            ckpts: self.ckpts.clone(),
-            msgs: self.msgs.clone(),
-        }
+        self.trace
     }
 }
 
@@ -331,6 +333,39 @@ mod tests {
         let mut b = TraceBuilder::new(2);
         b.send(MsgId(1), ProcId(0), ProcId(1), 1.0);
         b.send(MsgId(1), ProcId(0), ProcId(1), 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate message id")]
+    fn resend_of_received_id_rejected() {
+        let mut b = TraceBuilder::new(2);
+        b.send(MsgId(1), ProcId(0), ProcId(1), 1.0);
+        b.recv(MsgId(1), 2.0);
+        b.send(MsgId(1), ProcId(0), ProcId(1), 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown or already-received")]
+    fn receive_of_unknown_id_rejected() {
+        let mut b = TraceBuilder::new(2);
+        b.send(MsgId(1), ProcId(0), ProcId(1), 1.0);
+        b.recv(MsgId(2), 2.0);
+    }
+
+    #[test]
+    fn view_borrows_what_was_recorded_so_far() {
+        let mut b = TraceBuilder::new(2);
+        b.send(MsgId(1), ProcId(0), ProcId(1), 1.0);
+        assert_eq!(b.view().messages().len(), 1);
+        assert!(!b.view().messages()[0].delivered());
+        b.recv(MsgId(1), 2.0);
+        b.checkpoint(ProcId(1), 3.0, 1, CkptKind::Forced);
+        let seen = b.view().clone();
+        assert!(seen.messages()[0].delivered());
+        assert_eq!(seen.total_checkpoints(), 1);
+        let t = b.finish();
+        assert_eq!(t.messages(), seen.messages());
+        assert_eq!(t.checkpoints(ProcId(1)), seen.checkpoints(ProcId(1)));
     }
 
     #[test]

@@ -42,7 +42,7 @@ fn main() {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  mck run     [--protocol P] [--t-switch T] [--p-switch P] [--h H] [--horizon T] [--seed S] [--ps P] [--dup P]\n              [--logging off|pessimistic|optimistic] [--flush-latency T]\n              [--fail-mtbf T] [--fail-mss-mtbf T]\n              [--trace trace.jsonl] [--metrics artifact.json] [--profile] [--progress]\n  mck profile [run flags] [--out PROFILE.json] [--folded out.folded] [--prom out.prom]\n  mck sweep   [--protocol P] [--t-switch-list a,b,c] [--p-switch P] [--h H] [--reps R] [--seed S] [--csv] [--out-dir DIR]\n  mck fig N   [--reps R] [--seed S] [--csv] [--out-dir DIR]      (N in 1..6, or 'all')\n  mck claims  [--reps R] [--seed S]\n  mck classes [--reps R] [--seed S]\n  mck rollback [--reps R] [--seed S] [--logging off|pessimistic|optimistic] [--out-dir DIR]\n  mck crash   [--reps R] [--seed S] [--t-switch-list a,b,c] [--out-dir DIR]\n  mck check   [--protocol P] [--mh N] [--mss M] [--horizon T] [--t-switch T] [--seed S]\n              [--max-states K] [--mutate] [--out MC.json] | --replay MC.json\n  mck inspect <artifact.json|scenario.json|cache-dir> [--deterministic]\n  mck serve   [--addr HOST] [--port N] [--cache-dir DIR] [--max-entries N] [--queue-depth N] [--max-requests N]\n  mck list\nglobal: --jobs N (worker threads; default MCK_JOBS or all cores)\n        --cache-dir DIR (run/fig: content-addressed result cache; warm\n                         requests replay stored artifact bytes verbatim)\n        --queue heap|calendar|parallel (pending-event set; results are identical;\n                         'parallel' = conservative cell-partitioned workers, run/profile only)\n        --par-workers N (worker count for --queue parallel; default --jobs)\n        --pb-codec dense|rle (TP vector piggyback wire codec; trajectory is identical)\n        --scenario FILE (mck.scenario/v1 environment + parameter overrides;\n                         explicit flags still win; run/sweep/fig)\nprotocols: TP, BCS, QBC, UNCOORD"
+    "usage:\n  mck run     [--protocol P] [--mh N] [--mss M] [--t-switch T] [--p-switch P] [--h H] [--horizon T] [--seed S] [--ps P] [--dup P]\n              [--logging off|pessimistic|optimistic] [--flush-latency T]\n              [--fail-mtbf T] [--fail-mss-mtbf T]\n              [--trace trace.jsonl] [--metrics artifact.json] [--profile] [--progress]\n  mck profile [run flags] [--out PROFILE.json] [--folded out.folded] [--prom out.prom]\n  mck sweep   [--protocol P] [--mh N] [--mss M] [--t-switch-list a,b,c] [--p-switch P] [--h H] [--reps R] [--seed S] [--csv] [--out-dir DIR]\n  mck fig N   [--reps R] [--seed S] [--csv] [--out-dir DIR]      (N in 1..6, or 'all')\n  mck claims  [--reps R] [--seed S]\n  mck classes [--reps R] [--seed S]\n  mck rollback [--reps R] [--seed S] [--logging off|pessimistic|optimistic] [--out-dir DIR]\n  mck crash   [--reps R] [--seed S] [--t-switch-list a,b,c] [--out-dir DIR]\n  mck check   [--protocol P] [--mh N] [--mss M] [--horizon T] [--t-switch T] [--seed S]\n              [--max-states K] [--mutate] [--out MC.json] | --replay MC.json\n  mck inspect <artifact.json|scenario.json|cache-dir> [--deterministic]\n  mck serve   [--addr HOST] [--port N] [--cache-dir DIR] [--max-entries N] [--queue-depth N] [--max-requests N]\n  mck list\nglobal: --jobs N (worker threads; default MCK_JOBS or all cores)\n        --cache-dir DIR (run/fig: content-addressed result cache; warm\n                         requests replay stored artifact bytes verbatim)\n        --queue heap|calendar|parallel (pending-event set; results are identical;\n                         'parallel' = conservative cell-partitioned workers, run/profile only)\n        --par-workers N (worker count for --queue parallel; default --jobs)\n        --pb-codec dense|rle (TP vector piggyback wire codec; trajectory is identical)\n        --scenario FILE (mck.scenario/v1 environment + parameter overrides;\n                         explicit flags still win; run/sweep/fig)\nprotocols: TP, BCS, QBC, UNCOORD"
 }
 
 const KNOWN: &[&str] = &[
@@ -196,6 +196,8 @@ fn config_of(args: &Args) -> Result<SimConfig, ArgError> {
     };
     cfg.pb_codec = pb_codec_of(args)?;
     cfg.logging = logging_of(args)?;
+    cfg.n_mhs = args.get_usize("mh", cfg.n_mhs)?;
+    cfg.n_mss = args.get_usize("mss", cfg.n_mss)?;
     cfg.t_switch = args.get_f64("t-switch", cfg.t_switch)?;
     cfg.p_switch = args.get_f64("p-switch", cfg.p_switch)?;
     cfg.heterogeneity = args.get_f64("h", cfg.heterogeneity)?;
@@ -527,6 +529,11 @@ fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
 
 fn cmd_fig(args: &Args) -> Result<String, ArgError> {
     reject_parallel(args, "fig")?;
+    if args.get("mh").is_some() || args.get("mss").is_some() {
+        return Err(ArgError(
+            "fig runs the paper's world; set its size with --scenario params n_mhs/n_mss".into(),
+        ));
+    }
     let reps = args.get_usize("reps", 5)?;
     let seed = args.get_u64("seed", 1)?;
     let which = args
@@ -1480,6 +1487,17 @@ mod tests {
     }
 
     #[test]
+    fn world_size_flags_reach_the_run() {
+        let base = raw(&["run", "--horizon", "100"]);
+        let mut sized = base.clone();
+        sized.extend(raw(&["--mh", "500", "--mss", "20"]));
+        let cfg = config_of(&Args::parse(&sized, KNOWN, BOOLEAN).unwrap()).unwrap();
+        assert_eq!((cfg.n_mhs, cfg.n_mss), (500, 20));
+        assert_ne!(dispatch(&base).unwrap(), dispatch(&sized).unwrap());
+        assert!(dispatch(&raw(&["run", "--mh", "1"])).is_err());
+    }
+
+    #[test]
     fn profile_and_progress_flags_leave_run_output_unchanged() {
         let base = &[
             "run",
@@ -1501,6 +1519,7 @@ mod tests {
         assert!(dispatch(&raw(&["fig"])).is_err());
         assert!(dispatch(&raw(&["fig", "9"])).is_err());
         assert!(dispatch(&raw(&["fig", "two"])).is_err());
+        assert!(dispatch(&raw(&["fig", "1", "--mh", "500"])).is_err());
     }
 
     #[test]

@@ -484,7 +484,7 @@ impl Simulation {
         };
         let channel_queueing_delay = self.channels.total_queueing_delay();
         self.finalize_metrics(&out, channel_utilization, channel_queueing_delay);
-        let metrics = self.registry.snapshot();
+        let metrics = std::mem::take(&mut self.registry).into_snapshot();
         let spans = self.spans.is_enabled().then(|| self.spans.snapshot());
         let tracer = std::mem::take(&mut self.tracer);
         let trace_emitted = tracer.emitted();
@@ -879,7 +879,7 @@ impl Simulation {
             .trace
             .as_ref()
             .expect("failure injection forces tracing on")
-            .snapshot();
+            .view();
         let empty_log;
         let log = match &self.msg_log {
             Some(l) => l,
@@ -890,7 +890,7 @@ impl Simulation {
         };
         let plan_span = self.spans.scope("recovery.plan");
         let f = self.fault.as_mut().expect("execute_crash runs only with failures enabled");
-        let outcome = faultsim::plan_recovery(&trace, log, &situations, now.as_f64(), &f.params);
+        let outcome = faultsim::plan_recovery(trace, log, &situations, now.as_f64(), &f.params);
         drop(plan_span);
         f.stats.unstable_lost += unstable;
         f.stats.record(&outcome);
@@ -1650,11 +1650,18 @@ impl Simulation {
         h.0
     }
 
-    /// A snapshot of the recorded causality trace (`None` unless the run
-    /// was configured with `record_trace`). The checker asserts its safety
-    /// invariants against this after every applied choice.
+    /// The causality trace recorded so far, borrowed (`None` unless the
+    /// run records one: `record_trace` or failure injection). The checker
+    /// asserts its safety invariants against this after every applied
+    /// choice.
+    pub fn trace(&self) -> Option<&Trace> {
+        self.trace.as_ref().map(TraceBuilder::view)
+    }
+
+    /// An owned copy of [`Simulation::trace`], for callers that keep it
+    /// past the next step.
     pub fn trace_snapshot(&self) -> Option<Trace> {
-        self.trace.as_ref().map(TraceBuilder::snapshot)
+        self.trace().cloned()
     }
 
     /// Replaces each host's protocol instance with `wrap(old)`.

@@ -108,8 +108,8 @@ fn make_root(cfg: &CheckConfig) -> (Simulation, Scheduler<Ev>) {
 }
 
 fn check_trace(cfg: &CheckConfig, sim: &Simulation) -> Option<Violation> {
-    let trace = sim.trace_snapshot().expect("checker configs record traces");
-    invariant::check_state(cfg.protocol, &trace, cfg.horizon)
+    let trace = sim.trace().expect("checker configs record traces");
+    invariant::check_state(cfg.protocol, trace, cfg.horizon)
 }
 
 /// Replays `prefix` from a fresh root clone, returning the reached world.

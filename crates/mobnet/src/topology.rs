@@ -250,11 +250,13 @@ impl AdjacencyGraph {
         if cells < 2 {
             return Err(GraphError::TooFewCells(cells));
         }
+        // `seen[nb] == i` once row `i` has listed `nb`: one buffer serves
+        // every row without clearing.
+        let mut seen = vec![usize::MAX; cells];
         for (i, row) in adj.iter().enumerate() {
             if row.is_empty() {
                 return Err(GraphError::NoNeighbors(i));
             }
-            let mut seen = vec![false; cells];
             for &nb in row {
                 if nb.idx() >= cells {
                     return Err(GraphError::UnknownNeighbor { cell: i, neighbor: nb.idx() });
@@ -262,45 +264,45 @@ impl AdjacencyGraph {
                 if nb.idx() == i {
                     return Err(GraphError::SelfLoop(i));
                 }
-                if seen[nb.idx()] {
+                if seen[nb.idx()] == i {
                     return Err(GraphError::DuplicateNeighbor { cell: i, neighbor: nb.idx() });
                 }
-                seen[nb.idx()] = true;
+                seen[nb.idx()] = i;
             }
         }
         // Strong connectivity: every cell reachable from cell 0 along the
         // edges, and cell 0 reachable from every cell (checked on the
         // reversed graph). For symmetric graphs both passes agree.
-        let forward = Self::reach(&adj, false);
+        let forward = Self::reach(&adj);
         if forward < cells {
             return Err(GraphError::Disconnected { reachable: forward, cells });
         }
-        let backward = Self::reach(&adj, true);
+        let mut reversed = vec![Vec::new(); cells];
+        for (i, row) in adj.iter().enumerate() {
+            for &nb in row {
+                reversed[nb.idx()].push(MssId(i));
+            }
+        }
+        let backward = Self::reach(&reversed);
         if backward < cells {
             return Err(GraphError::Disconnected { reachable: backward, cells });
         }
         Ok(AdjacencyGraph { adj })
     }
 
-    /// Breadth-first reachable-cell count from cell 0, optionally along
-    /// reversed edges.
-    fn reach(adj: &[Vec<MssId>], reversed: bool) -> usize {
-        let cells = adj.len();
-        let mut visited = vec![false; cells];
-        let mut queue = vec![0usize];
+    /// Depth-first reachable-cell count from cell 0, walking each visited
+    /// cell's row once: O(cells + edges).
+    fn reach(adj: &[Vec<MssId>]) -> usize {
+        let mut visited = vec![false; adj.len()];
+        let mut stack = vec![0usize];
         visited[0] = true;
         let mut count = 1;
-        while let Some(u) = queue.pop() {
-            for v in 0..cells {
-                let edge = if reversed {
-                    adj[v].contains(&MssId(u))
-                } else {
-                    adj[u].contains(&MssId(v))
-                };
-                if edge && !visited[v] {
-                    visited[v] = true;
+        while let Some(u) = stack.pop() {
+            for &v in &adj[u] {
+                if !visited[v.idx()] {
+                    visited[v.idx()] = true;
                     count += 1;
-                    queue.push(v);
+                    stack.push(v.idx());
                 }
             }
         }
@@ -560,6 +562,12 @@ mod tests {
         assert_eq!(
             AdjacencyGraph::custom(vec![vec![1], vec![0], vec![3], vec![2]]).unwrap_err(),
             GraphError::Disconnected { reachable: 2, cells: 4 }
+        );
+        // Everything is reachable from 0, but nothing leads back to it:
+        // only the backward pass fails.
+        assert_eq!(
+            AdjacencyGraph::custom(vec![vec![1], vec![2], vec![1]]).unwrap_err(),
+            GraphError::Disconnected { reachable: 1, cells: 3 }
         );
         // One-way sink: 2 is reachable but cannot get back.
         assert!(matches!(

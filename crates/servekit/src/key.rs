@@ -107,6 +107,10 @@ fn uint(v: &Json, what: &str) -> Result<u64, String> {
     v.as_u64().ok_or_else(|| format!("'{what}' must be a non-negative integer"))
 }
 
+fn count(v: &Json, what: &str) -> Result<usize, String> {
+    usize::try_from(uint(v, what)?).map_err(|_| format!("'{what}' is too large"))
+}
+
 /// Builds a checked [`SimConfig`] from a request body.
 ///
 /// Same precedence as the CLI: defaults, then the embedded `scenario`
@@ -139,6 +143,8 @@ pub fn config_from_json(body: &Json) -> Result<SimConfig, String> {
                 let s = v.as_str().ok_or("'logging' must be a string")?;
                 cfg.logging = LoggingMode::parse(s)?;
             }
+            "n_mhs" => cfg.n_mhs = count(v, name)?,
+            "n_mss" => cfg.n_mss = count(v, name)?,
             "t_switch" => cfg.t_switch = num(v, name)?,
             "p_switch" => cfg.p_switch = num(v, name)?,
             "heterogeneity" | "h" => cfg.heterogeneity = num(v, name)?,
@@ -193,6 +199,31 @@ mod tests {
         let invalid = parse(r#"{"t_switch":-4}"#).unwrap();
         assert!(config_from_json(&invalid).is_err());
         assert!(config_from_json(&Json::Num(3.0)).is_err());
+    }
+
+    #[test]
+    fn world_size_members_key_like_scenario_params() {
+        let direct = config_from_json(
+            &parse(r#"{"protocol":"QBC","n_mhs":500,"n_mss":20,"horizon":100}"#).unwrap(),
+        )
+        .unwrap();
+        let via_scenario = config_from_json(
+            &parse(
+                r#"{"protocol":"QBC","horizon":100,
+                    "scenario":{"schema":"mck.scenario/v1","params":{"n_mhs":500,"n_mss":20}}}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!((direct.n_mhs, direct.n_mss), (500, 20));
+        assert_eq!(run_key(&direct), run_key(&via_scenario));
+        let default_world =
+            config_from_json(&parse(r#"{"protocol":"QBC","horizon":100}"#).unwrap()).unwrap();
+        assert_ne!(run_key(&direct), run_key(&default_world));
+        assert!(config_from_json(&parse(r#"{"n_mhs":1}"#).unwrap()).is_err());
+        assert!(config_from_json(&parse(r#"{"n_mss":-3}"#).unwrap())
+            .unwrap_err()
+            .contains("n_mss"));
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! A registry can be frozen into a [`MetricsSnapshot`] — a plain, sorted,
 //! serializable view used by reports, artifacts and the CLI's table views.
 
+use std::collections::BTreeMap;
+
 use crate::json::Json;
 use crate::stats::LogHistogram;
 
@@ -29,13 +31,54 @@ pub struct HistogramId(usize);
 
 const DISABLED: usize = usize::MAX;
 
+/// The metrics of one kind: a sorted name index into a slot vector.
+///
+/// Registration is one ordered-map lookup, updates index the vector, and
+/// a snapshot walks the names in order, so nothing is ever sorted.
+#[derive(Debug, Clone)]
+struct Family<T> {
+    slots: BTreeMap<String, usize>,
+    values: Vec<T>,
+}
+
+impl<T> Default for Family<T> {
+    fn default() -> Self {
+        Family {
+            slots: BTreeMap::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<T> Family<T> {
+    /// The slot of `name`, registering it with `init()` when new.
+    fn slot(&mut self, name: &str, init: impl FnOnce() -> T) -> usize {
+        if let Some(&i) = self.slots.get(name) {
+            return i;
+        }
+        let i = self.values.len();
+        self.slots.insert(name.to_string(), i);
+        self.values.push(init());
+        i
+    }
+
+    /// `f(name, value)` in name order, moving the names.
+    fn into_sorted<U>(self, mut f: impl FnMut(String, &T) -> U) -> Vec<U> {
+        let values = self.values;
+        self.slots
+            .into_iter()
+            .map(|(n, i)| f(n, &values[i]))
+            .collect()
+    }
+}
+
 /// Registry of named counters, gauges and log-scale histograms.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     enabled: bool,
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
-    histograms: Vec<(String, LogHistogram)>,
+    counters: Family<u64>,
+    gauges: Family<f64>,
+    histograms: Family<LogHistogram>,
 }
 
 impl MetricsRegistry {
@@ -63,11 +106,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return CounterId(DISABLED);
         }
-        if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
-            return CounterId(i);
-        }
-        self.counters.push((name.to_string(), 0));
-        CounterId(self.counters.len() - 1)
+        CounterId(self.counters.slot(name, || 0))
     }
 
     /// Adds `n` to a counter.
@@ -76,7 +115,7 @@ impl MetricsRegistry {
         if id.0 == DISABLED {
             return;
         }
-        self.counters[id.0].1 += n;
+        self.counters.values[id.0] += n;
     }
 
     /// Adds one to a counter.
@@ -90,7 +129,7 @@ impl MetricsRegistry {
         if id.0 == DISABLED {
             0
         } else {
-            self.counters[id.0].1
+            self.counters.values[id.0]
         }
     }
 
@@ -99,11 +138,7 @@ impl MetricsRegistry {
         if !self.enabled {
             return GaugeId(DISABLED);
         }
-        if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push((name.to_string(), 0.0));
-        GaugeId(self.gauges.len() - 1)
+        GaugeId(self.gauges.slot(name, || 0.0))
     }
 
     /// Sets a gauge to `value`.
@@ -112,7 +147,7 @@ impl MetricsRegistry {
         if id.0 == DISABLED {
             return;
         }
-        self.gauges[id.0].1 = value;
+        self.gauges.values[id.0] = value;
     }
 
     /// Sets a gauge to `value` if it exceeds the current reading (high-water
@@ -122,7 +157,7 @@ impl MetricsRegistry {
         if id.0 == DISABLED {
             return;
         }
-        let g = &mut self.gauges[id.0].1;
+        let g = &mut self.gauges.values[id.0];
         if value > *g {
             *g = value;
         }
@@ -133,7 +168,7 @@ impl MetricsRegistry {
         if id.0 == DISABLED {
             0.0
         } else {
-            self.gauges[id.0].1
+            self.gauges.values[id.0]
         }
     }
 
@@ -142,12 +177,10 @@ impl MetricsRegistry {
         if !self.enabled {
             return HistogramId(DISABLED);
         }
-        if let Some(i) = self.histograms.iter().position(|(n, _)| n == name) {
-            return HistogramId(i);
-        }
-        self.histograms
-            .push((name.to_string(), LogHistogram::new(first_edge, growth, bins)));
-        HistogramId(self.histograms.len() - 1)
+        HistogramId(
+            self.histograms
+                .slot(name, || LogHistogram::new(first_edge, growth, bins)),
+        )
     }
 
     /// Records one observation into a histogram.
@@ -156,31 +189,21 @@ impl MetricsRegistry {
         if id.0 == DISABLED {
             return;
         }
-        self.histograms[id.0].1.record(x);
+        self.histograms.values[id.0].record(x);
     }
 
     /// Freezes the current state into a sorted, serializable snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut counters = self.counters.clone();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut gauges = self.gauges.clone();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut histograms: Vec<HistogramSnapshot> = self
-            .histograms
-            .iter()
-            .map(|(name, h)| HistogramSnapshot {
-                name: name.clone(),
-                count: h.count(),
-                p50: h.quantile(0.5),
-                p99: h.quantile(0.99),
-                bins: h.iter().filter(|(_, c)| *c > 0).collect(),
-            })
-            .collect();
-        histograms.sort_by(|a, b| a.name.cmp(&b.name));
+        self.clone().into_snapshot()
+    }
+
+    /// Like [`MetricsRegistry::snapshot`], but consumes the registry and
+    /// moves its names into the snapshot instead of cloning them.
+    pub fn into_snapshot(self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: self.counters.into_sorted(|n, &v| (n, v)),
+            gauges: self.gauges.into_sorted(|n, &v| (n, v)),
+            histograms: self.histograms.into_sorted(HistogramSnapshot::of),
         }
     }
 }
@@ -198,6 +221,18 @@ pub struct HistogramSnapshot {
     pub p99: f64,
     /// `(upper_edge, count)` for bins with at least one observation.
     pub bins: Vec<(f64, u64)>,
+}
+
+impl HistogramSnapshot {
+    fn of(name: String, h: &LogHistogram) -> Self {
+        HistogramSnapshot {
+            name,
+            count: h.count(),
+            p50: h.quantile(0.5),
+            p99: h.quantile(0.99),
+            bins: h.iter().filter(|(_, c)| *c > 0).collect(),
+        }
+    }
 }
 
 /// An immutable, name-sorted view of a registry.
@@ -459,6 +494,23 @@ mod tests {
         assert_eq!(snap.counter("nope"), None);
         assert_eq!(snap.gauge("gg"), Some(1.25));
         assert!(!snap.is_empty());
+    }
+
+    #[test]
+    fn consuming_snapshot_matches_borrowed_one() {
+        let mut r = MetricsRegistry::new();
+        for name in ["mh.10.ckpts", "mh.2.ckpts", "ckpt.total"] {
+            let c = r.counter(name);
+            r.add(c, name.len() as u64);
+        }
+        let g = r.gauge("run.end_time");
+        r.set(g, 9.5);
+        let h = r.histogram("lat", 1.0, 2.0, 4);
+        r.observe(h, 3.0);
+        let snap = r.snapshot();
+        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["ckpt.total", "mh.10.ckpts", "mh.2.ckpts"]);
+        assert_eq!(r.into_snapshot(), snap);
     }
 
     #[test]

@@ -173,6 +173,31 @@ mkdir -p "$out_dir/scale_reg"
 "$figures" scale --n-list 10,1000 --horizon 300 --check-regression \
     --out-dir "$out_dir/scale_reg" >/dev/null
 
+# Metrics overhead gate: a 10^4-host run registers four names per host at
+# run end, which must cost next to nothing next to the run itself (the
+# registry indexes its names; a linear name scan made this 2.7x). Best of
+# 3 interleaved runs with and without --metrics; on/off must stay <= 1.25.
+echo "==> smoke: metrics overhead at N=10^4 (on/off <= 1.25)"
+big_run=("$mck" run --mh 10000 --mss 312 --horizon 100)
+best_off=0
+best_on=0
+for _ in 1 2 3; do
+    t0=${EPOCHREALTIME/[.,]/}
+    "${big_run[@]}" >/dev/null
+    t1=${EPOCHREALTIME/[.,]/}
+    "${big_run[@]}" --metrics "$out_dir/big_run.json" >/dev/null
+    t2=${EPOCHREALTIME/[.,]/}
+    if [ "$best_off" -eq 0 ] || [ $((t1 - t0)) -lt "$best_off" ]; then best_off=$((t1 - t0)); fi
+    if [ "$best_on" -eq 0 ] || [ $((t2 - t1)) -lt "$best_on" ]; then best_on=$((t2 - t1)); fi
+done
+# The gate must time the world it names, not the 10-host default.
+grep -q '"n_mhs": 10000' "$out_dir/big_run.json"
+echo "metrics off $((best_off / 1000)) ms, on $((best_on / 1000)) ms"
+if [ $((best_on * 100)) -gt $((best_off * 125)) ]; then
+    echo "metrics overhead above 1.25x at N=10^4" >&2
+    exit 1
+fi
+
 # Parallel speedup gate: par-bench first asserts serial and parallel
 # artifacts are byte-identical at every N (aborting otherwise), then
 # enforces the 2x events/sec floor at N=10^4 with 4 workers. On hosts
