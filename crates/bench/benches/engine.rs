@@ -4,46 +4,21 @@ use mck_bench::{black_box, Bench};
 use simkit::prelude::*;
 
 /// Schedule/pop churn with a bounded pending set (the simulator's steady
-/// state: every popped event schedules a successor), on both pending-set
-/// backends. This head-to-head decides `SimConfig.queue`'s default.
+/// state: every popped event schedules a successor).
 fn bench_scheduler(b: &mut Bench) {
-    for &backend in &[QueueBackend::Heap, QueueBackend::Calendar] {
-        for &pending in &[64usize, 1024, 16384] {
-            b.bench(&format!("scheduler/hold_churn/{backend}/{pending}"), move || {
-                let mut s = Scheduler::with_backend(backend);
-                let mut rng = SimRng::new(1);
-                for i in 0..pending {
-                    s.schedule_in(rng.exp(1.0), i as u64);
-                }
-                // 10k hold operations.
-                for _ in 0..10_000 {
-                    let ev = s.pop().expect("non-empty");
-                    s.schedule_in(rng.exp(1.0), ev.event + 1);
-                }
-                black_box(s.now())
-            });
-        }
-    }
-}
-
-/// Same hold pattern on the calendar queue, for a heap-vs-calendar
-/// comparison at each pending-set size.
-fn bench_calendar(b: &mut Bench) {
-    use simkit::calendar::CalendarQueue;
     for &pending in &[64usize, 1024, 16384] {
-        b.bench(&format!("calendar_queue/hold_churn/{pending}"), || {
-            let mut q = CalendarQueue::new();
+        b.bench(&format!("scheduler/hold_churn/{pending}"), move || {
+            let mut s = Scheduler::new();
             let mut rng = SimRng::new(1);
-            let mut now = 0.0;
             for i in 0..pending {
-                q.schedule_at(SimTime::new(rng.exp(1.0)), i as u64);
+                s.schedule_in(rng.exp(1.0), i as u64);
             }
+            // 10k hold operations.
             for _ in 0..10_000 {
-                let (t, e) = q.pop().expect("non-empty");
-                now = t.as_f64();
-                q.schedule_at(SimTime::new(now + rng.exp(1.0)), e + 1);
+                let ev = s.pop().expect("non-empty");
+                s.schedule_in(rng.exp(1.0), ev.event + 1);
             }
-            black_box(now)
+            black_box(s.now())
         });
     }
 }
@@ -72,7 +47,6 @@ fn bench_stats(b: &mut Bench) {
 fn main() {
     let mut b = Bench::from_args("engine");
     bench_scheduler(&mut b);
-    bench_calendar(&mut b);
     bench_rng(&mut b);
     bench_stats(&mut b);
     b.finish();

@@ -327,7 +327,6 @@ fn sweep_bench(opts: &Opts) {
         walls.push(wall_ms);
         sweeps.push(Json::Obj(vec![
             ("label".into(), Json::str("figures 1-6 grid")),
-            ("queue".into(), Json::str("heap")),
             ("timing".into(), timing.to_json()),
         ]));
     }

@@ -42,7 +42,7 @@ fn main() {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  mck run     [--protocol P] [--mh N] [--mss M] [--t-switch T] [--p-switch P] [--h H] [--horizon T] [--seed S] [--ps P] [--dup P]\n              [--logging off|pessimistic|optimistic] [--flush-latency T]\n              [--fail-mtbf T] [--fail-mss-mtbf T]\n              [--trace trace.jsonl] [--metrics artifact.json] [--profile] [--progress]\n  mck profile [run flags] [--out PROFILE.json] [--folded out.folded] [--prom out.prom]\n  mck sweep   [--protocol P] [--mh N] [--mss M] [--t-switch-list a,b,c] [--p-switch P] [--h H] [--reps R] [--seed S] [--csv] [--out-dir DIR]\n  mck fig N   [--reps R] [--seed S] [--csv] [--out-dir DIR]      (N in 1..6, or 'all')\n  mck claims  [--reps R] [--seed S]\n  mck classes [--reps R] [--seed S]\n  mck rollback [--reps R] [--seed S] [--logging off|pessimistic|optimistic] [--out-dir DIR]\n  mck crash   [--reps R] [--seed S] [--t-switch-list a,b,c] [--out-dir DIR]\n  mck check   [--protocol P] [--mh N] [--mss M] [--horizon T] [--t-switch T] [--seed S]\n              [--max-states K] [--mutate] [--out MC.json] | --replay MC.json\n  mck inspect <artifact.json|scenario.json|cache-dir> [--deterministic]\n  mck serve   [--addr HOST] [--port N] [--cache-dir DIR] [--max-entries N] [--queue-depth N] [--max-requests N]\n  mck list\nglobal: --jobs N (worker threads; default MCK_JOBS or all cores)\n        --cache-dir DIR (run/fig: content-addressed result cache; warm\n                         requests replay stored artifact bytes verbatim)\n        --queue heap|calendar|parallel (pending-event set; results are identical;\n                         'parallel' = conservative cell-partitioned workers, run/profile only)\n        --par-workers N (worker count for --queue parallel; default --jobs)\n        --pb-codec dense|rle (TP vector piggyback wire codec; trajectory is identical)\n        --scenario FILE (mck.scenario/v1 environment + parameter overrides;\n                         explicit flags still win; run/sweep/fig)\nprotocols: TP, BCS, QBC, UNCOORD"
+    "usage:\n  mck run     [--protocol P] [--mh N] [--mss M] [--t-switch T] [--p-switch P] [--h H] [--horizon T] [--seed S] [--ps P] [--dup P]\n              [--logging off|pessimistic|optimistic] [--flush-latency T]\n              [--fail-mtbf T] [--fail-mss-mtbf T]\n              [--trace trace.jsonl] [--metrics artifact.json] [--profile] [--progress]\n  mck profile [run flags] [--out PROFILE.json] [--folded out.folded] [--prom out.prom]\n  mck sweep   [--protocol P] [--mh N] [--mss M] [--t-switch-list a,b,c] [--p-switch P] [--h H] [--reps R] [--seed S] [--csv] [--out-dir DIR]\n  mck fig N   [--reps R] [--seed S] [--csv] [--out-dir DIR]      (N in 1..6, or 'all')\n  mck claims  [--reps R] [--seed S]\n  mck classes [--reps R] [--seed S]\n  mck rollback [--reps R] [--seed S] [--logging off|pessimistic|optimistic] [--out-dir DIR]\n  mck crash   [--reps R] [--seed S] [--t-switch-list a,b,c] [--out-dir DIR]\n  mck check   [--protocol P] [--mh N] [--mss M] [--horizon T] [--t-switch T] [--seed S]\n              [--max-states K] [--mutate] [--out MC.json] | --replay MC.json\n  mck inspect <artifact.json|scenario.json|cache-dir> [--deterministic]\n  mck serve   [--addr HOST] [--port N] [--cache-dir DIR] [--max-entries N] [--queue-depth N] [--max-requests N]\n  mck list\nglobal: --jobs N (worker threads; default MCK_JOBS or all cores)\n        --cache-dir DIR (run/fig: content-addressed result cache; warm\n                         requests replay stored artifact bytes verbatim)\n        --par-workers N (run/profile: N conservative cell-partitioned workers;\n                         results are identical to the serial run)\n        --pb-codec dense|rle (TP vector piggyback wire codec; trajectory is identical)\n        --scenario FILE (mck.scenario/v1 environment + parameter overrides;\n                         explicit flags still win; run/sweep/fig)\nprotocols: TP, BCS, QBC, UNCOORD"
 }
 
 const KNOWN: &[&str] = &[
@@ -67,7 +67,6 @@ const KNOWN: &[&str] = &[
     "folded",
     "prom",
     "jobs",
-    "queue",
     "par-workers",
     "pb-codec",
     "scenario",
@@ -119,43 +118,18 @@ fn protocol_of(args: &Args) -> Result<ProtocolChoice, ArgError> {
         .ok_or_else(|| ArgError(format!("unknown protocol '{name}'")))
 }
 
-fn queue_of(args: &Args) -> Result<simkit::event::QueueBackend, ArgError> {
-    match args.get("queue") {
-        None => Ok(simkit::event::QueueBackend::default()),
-        Some(name) => simkit::event::QueueBackend::parse(name).ok_or_else(|| {
-            ArgError(format!("unknown queue backend '{name}' (heap|calendar|parallel)"))
-        }),
-    }
-}
-
-/// `--queue parallel` selects the conservative cell-partitioned backend
-/// (run and profile only); returns the resolved worker count, `None` for
-/// the serial backends. Each parallel worker replica runs a heap
-/// scheduler, so the config's `queue` field stays `Heap` — which also
-/// means cached artifacts are shared with serial runs (the backends are
-/// byte-identical by construction).
+/// `--par-workers N` selects the conservative cell-partitioned backend
+/// with `N` workers (run and profile only); without it the run is serial.
+/// The backends are byte-identical by construction, so cached artifacts
+/// are shared between them.
 fn parallel_of(args: &Args) -> Result<Option<usize>, ArgError> {
-    if args.get("queue") != Some("parallel") {
-        if args.get("par-workers").is_some() {
-            return Err(ArgError("--par-workers requires --queue parallel".into()));
-        }
+    if args.get("par-workers").is_none() {
         return Ok(None);
     }
-    let n = args.get_usize("par-workers", 0)?;
-    Ok(Some(if n == 0 { jobs() } else { n }))
-}
-
-/// Experiment grids (`sweep`, `fig`) already parallelize across
-/// replications via the job pool; intra-run parallelism is redundant
-/// there and unsupported.
-fn reject_parallel(args: &Args, cmd: &str) -> Result<(), ArgError> {
-    if args.get("queue") == Some("parallel") {
-        return Err(ArgError(format!(
-            "--queue parallel applies to 'run' and 'profile' only; \
-             '{cmd}' already parallelizes across replications (--jobs N)"
-        )));
+    match args.get_usize("par-workers", 0)? {
+        0 => Err(ArgError("--par-workers must be at least 1".into())),
+        n => Ok(Some(n)),
     }
-    Ok(())
 }
 
 fn logging_of(args: &Args) -> Result<LoggingMode, ArgError> {
@@ -187,13 +161,6 @@ fn config_of(args: &Args) -> Result<SimConfig, ArgError> {
         cfg.apply_scenario(&sc);
     }
     cfg.protocol = protocol_of(args)?;
-    // `--queue parallel` is a backend-dispatch choice, not a pending-event
-    // set: the worker replicas each run the (default) heap scheduler.
-    cfg.queue = if parallel_of(args)?.is_some() {
-        simkit::event::QueueBackend::Heap
-    } else {
-        queue_of(args)?
-    };
     cfg.pb_codec = pb_codec_of(args)?;
     cfg.logging = logging_of(args)?;
     cfg.n_mhs = args.get_usize("mh", cfg.n_mhs)?;
@@ -491,7 +458,14 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
-    reject_parallel(args, "sweep")?;
+    // The grid already parallelizes across replications via the job pool.
+    if args.flag("par-workers") {
+        return Err(ArgError(
+            "--par-workers applies to 'run' and 'profile' only; \
+             'sweep' already parallelizes across replications (--jobs N)"
+                .into(),
+        ));
+    }
     let reps = args.get_usize("reps", 3)?;
     let seed = args.get_u64("seed", 1)?;
     let ts = args.get_f64_list("t-switch-list", &T_SWITCH_SWEEP)?;
@@ -527,12 +501,51 @@ fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
+/// Accepted flags that `fig` does not read: a figure fixes its own
+/// protocols, parameter grid and world, so each of these would be silently
+/// ignored. Everything else `fig` takes is `--reps`, `--seed`, `--csv`,
+/// `--out-dir`, `--cache-dir`, `--scenario` and the global `--jobs`.
+const FIG_IGNORES: &[&str] = &[
+    "protocol",
+    "t-switch",
+    "t-switch-list",
+    "p-switch",
+    "h",
+    "horizon",
+    "ps",
+    "dup",
+    "trace",
+    "metrics",
+    "logging",
+    "flush-latency",
+    "fail-mtbf",
+    "fail-mss-mtbf",
+    "out",
+    "folded",
+    "prom",
+    "par-workers",
+    "pb-codec",
+    "addr",
+    "port",
+    "max-entries",
+    "queue-depth",
+    "max-requests",
+    "mh",
+    "mss",
+    "max-states",
+    "replay",
+    "profile",
+    "progress",
+    "deterministic",
+    "mutate",
+];
+
 fn cmd_fig(args: &Args) -> Result<String, ArgError> {
-    reject_parallel(args, "fig")?;
-    if args.get("mh").is_some() || args.get("mss").is_some() {
-        return Err(ArgError(
-            "fig runs the paper's world; set its size with --scenario params n_mhs/n_mss".into(),
-        ));
+    if let Some(flag) = FIG_IGNORES.iter().find(|f| args.flag(f)) {
+        return Err(ArgError(format!(
+            "fig does not read --{flag}: it runs the paper's figure grid; \
+             change its world or parameters with --scenario FILE"
+        )));
     }
     let reps = args.get_usize("reps", 5)?;
     let seed = args.get_u64("seed", 1)?;
@@ -1211,7 +1224,9 @@ mod tests {
         assert!(dispatch(&raw(&["frobnicate"])).is_err());
         assert!(dispatch(&raw(&[])).is_err());
         assert!(dispatch(&raw(&["run", "--protocol", "XXX"])).is_err());
-        assert!(dispatch(&raw(&["run", "--queue", "bogus"])).is_err());
+        assert!(dispatch(&raw(&["run", "--queue", "heap"])).is_err());
+        assert!(dispatch(&raw(&["run", "--par-workers", "0"])).is_err());
+        assert!(dispatch(&raw(&["sweep", "--par-workers", "2"])).is_err());
         assert!(dispatch(&raw(&["run", "--pb-codec", "huffman"])).is_err());
         assert!(dispatch(&raw(&["run", "--logging", "eager"])).is_err());
         assert!(dispatch(&raw(&["run", "--fail-mtbf", "-5"])).is_err());
@@ -1316,7 +1331,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_and_jobs_flags_leave_results_unchanged() {
+    fn jobs_and_par_workers_flags_leave_results_unchanged() {
         let base = &[
             "run",
             "--protocol",
@@ -1326,12 +1341,15 @@ mod tests {
             "--t-switch",
             "100",
         ];
-        let heap = dispatch(&raw(base)).unwrap();
+        let serial = dispatch(&raw(base)).unwrap();
         let mut with_flags = raw(base);
-        with_flags.extend(raw(&["--queue", "calendar", "--jobs", "2"]));
-        let calendar = dispatch(&with_flags).unwrap();
+        with_flags.extend(raw(&["--par-workers", "2", "--jobs", "2"]));
+        let parallel = dispatch(&with_flags).unwrap();
         set_jobs(0); // restore for other tests
-        assert_eq!(heap, calendar, "queue backend must not change results");
+        assert_eq!(
+            serial, parallel,
+            "the parallel backend must not change results"
+        );
     }
 
     #[test]
@@ -1520,6 +1538,33 @@ mod tests {
         assert!(dispatch(&raw(&["fig", "9"])).is_err());
         assert!(dispatch(&raw(&["fig", "two"])).is_err());
         assert!(dispatch(&raw(&["fig", "1", "--mh", "500"])).is_err());
+        for (flag, value) in [("--horizon", "100"), ("--protocol", "TP")] {
+            let err = dispatch(&raw(&["fig", "1", flag, value])).unwrap_err();
+            assert!(
+                err.0.contains(flag) && err.0.contains("--scenario"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn fig_ignore_list_covers_every_unread_flag() {
+        let read = [
+            "reps",
+            "seed",
+            "csv",
+            "out-dir",
+            "cache-dir",
+            "scenario",
+            "jobs",
+        ];
+        for flag in KNOWN.iter().chain(BOOLEAN) {
+            assert_ne!(
+                read.contains(flag),
+                FIG_IGNORES.contains(flag),
+                "--{flag} must be either read or rejected by fig"
+            );
+        }
     }
 
     #[test]

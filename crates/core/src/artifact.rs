@@ -900,9 +900,8 @@ pub fn describe(v: &Json) -> Result<String, String> {
                 out += &format!("host     {host} hardware threads\n");
             }
             let sweeps = v.get("sweeps").and_then(Json::as_arr).expect("validated");
-            let mut t = crate::table::Table::new(vec![
-                "jobs", "queue", "runs", "wall (ms)", "runs/sec",
-            ]);
+            let mut t =
+                crate::table::Table::new(vec!["jobs", "runs", "wall (ms)", "runs/sec"]);
             for s in sweeps {
                 let timing = s.get("timing").expect("validated");
                 let num = |j: &Json, k: &str| {
@@ -917,7 +916,6 @@ pub fn describe(v: &Json) -> Result<String, String> {
                         .and_then(Json::as_u64)
                         .map(|x| x.to_string())
                         .unwrap_or_else(|| "?".into()),
-                    s.get("queue").and_then(Json::as_str).unwrap_or("?").into(),
                     timing
                         .get("runs")
                         .and_then(Json::as_u64)
@@ -1486,18 +1484,15 @@ mod tests {
     #[test]
     fn bench_sweep_artifact_validates_and_describes() {
         let entry = |jobs: u64, wall_ms: f64| {
-            Json::Obj(vec![
-                ("queue".into(), Json::str("heap")),
-                (
-                    "timing".into(),
-                    SweepTiming {
-                        wall_ms,
-                        runs: 60,
-                        jobs: jobs as usize,
-                    }
-                    .to_json(),
-                ),
-            ])
+            Json::Obj(vec![(
+                "timing".into(),
+                SweepTiming {
+                    wall_ms,
+                    runs: 60,
+                    jobs: jobs as usize,
+                }
+                .to_json(),
+            )])
         };
         let doc = Json::Obj(vec![
             ("schema".into(), Json::str(BENCH_SWEEP_SCHEMA)),

@@ -21,7 +21,6 @@ use cic::piggyback::PbCodec;
 use cic::CicKind;
 use mobnet::{IncrementalModel, Latencies};
 use scenario::{EnvParams, EnvSpec, Scenario, ScenarioError};
-use simkit::event::QueueBackend;
 
 /// A parameter of [`SimConfig`] outside its valid domain, reported by
 /// [`SimConfig::check`] instead of simulating garbage.
@@ -283,14 +282,8 @@ pub struct SimConfig {
     /// asynchronous flush reaches stable storage (hand-off / checkpoint
     /// barriers force it earlier). 0 matches pessimistic stability.
     pub flush_latency: f64,
-    /// Capacity of the debugging event log (0 = disabled, the default).
-    pub log_capacity: usize,
     /// Application payload size in bytes (for channel/energy accounting).
     pub payload_bytes: u64,
-    /// Pending-event-set implementation backing the engine's scheduler.
-    /// Behaviour (traces, reports) is byte-identical across backends; only
-    /// wall-clock speed differs. The default follows the `engine` bench.
-    pub queue: QueueBackend,
     /// Wire codec for TP's vector piggybacks (other protocols' piggybacks
     /// are already O(1) and ignore this). `Dense` — the byte-identical
     /// default — carries the paper's two flat `n`-integer vectors; `Rle`
@@ -327,9 +320,7 @@ impl Default for SimConfig {
             fail_mtbf: 0.0,
             fail_mss_mtbf: 0.0,
             flush_latency: 0.0,
-            log_capacity: 0,
             payload_bytes: 256,
-            queue: QueueBackend::default(),
             pb_codec: PbCodec::default(),
         }
     }

@@ -95,8 +95,6 @@ pub struct RunReport {
     pub message_log: Option<MessageLog>,
     /// Full causality trace, when recording was enabled.
     pub trace: Option<Trace>,
-    /// Debugging event log (empty unless `log_capacity > 0`).
-    pub log: simkit::log::EventLog,
     /// Named metric snapshot (empty unless the run was instrumented with a
     /// metrics registry — see `Instrumentation`).
     pub metrics: MetricsSnapshot,
@@ -288,7 +286,6 @@ mod tests {
             recovery: None,
             message_log: None,
             trace: None,
-            log: simkit::log::EventLog::disabled(),
             metrics: MetricsSnapshot::default(),
             profile: None,
             spans: None,
@@ -326,7 +323,6 @@ mod tests {
             recovery: None,
             message_log: None,
             trace: None,
-            log: simkit::log::EventLog::disabled(),
             metrics: MetricsSnapshot::default(),
             profile: None,
             spans: None,

@@ -223,7 +223,6 @@ pub struct Simulation {
     pub(crate) protos: Vec<Box<dyn Protocol>>,
     pub(crate) coord: CoordDriver,
     trace: Option<TraceBuilder>,
-    log: simkit::log::EventLog,
     tracer: Tracer,
     registry: MetricsRegistry,
     mailbox_depth: GaugeId,
@@ -344,7 +343,6 @@ impl Simulation {
             // Recovery planning needs the causality trace, so failure
             // injection forces it on even when the caller did not ask.
             trace: (cfg.record_trace || cfg.failures_enabled()).then(|| TraceBuilder::new(n)),
-            log: simkit::log::EventLog::new(cfg.log_capacity),
             tracer: Tracer::disabled(),
             registry: MetricsRegistry::disabled(),
             mailbox_depth: MetricsRegistry::disabled().gauge("mailbox.max_depth"),
@@ -373,7 +371,7 @@ impl Simulation {
             cfg,
         };
 
-        let mut sched = Scheduler::with_backend(sim.cfg.queue);
+        let mut sched = Scheduler::new();
         for i in 0..n {
             let mh = MhId(i);
             let first = sim.workload_rng[i].exp(sim.cfg.internal_mean);
@@ -511,7 +509,6 @@ impl Simulation {
             recovery: self.fault.as_ref().map(|f| f.stats),
             message_log: self.msg_log,
             trace: self.trace.map(TraceBuilder::finish),
-            log: self.log,
             metrics,
             profile,
             spans,
@@ -693,14 +690,6 @@ impl Simulation {
         self.per_mh_ckpts[mh.idx()] += 1;
         if replaces {
             self.replacements += 1;
-        }
-        if !self.log.is_disabled() {
-            self.log.record(
-                now,
-                simkit::log::Level::Info,
-                "ckpt",
-                format!("{mh} takes {kind:?} checkpoint index {index} (replaces={replaces})"),
-            );
         }
         if let Some(trace) = &mut self.trace {
             trace.checkpoint(ProcId(mh.idx()), now.as_f64(), index, kind);
@@ -896,28 +885,14 @@ impl Simulation {
         f.stats.record(&outcome);
         for h in &outcome.per_host {
             f.down[h.proc.0] = true;
-        }
-        for h in &outcome.per_host {
-            let mh = MhId(h.proc.0);
             // Outstanding workload events become stale; mobility events are
             // voided in `on_mobility` while down.
             self.activity_gen[h.proc.0] += 1;
-            if !self.log.is_disabled() {
-                self.log.record(
-                    now,
-                    simkit::log::Level::Warn,
-                    "fail",
-                    format!(
-                        "{mh} crashes; recovery takes {:.4} ({} replayed receives)",
-                        h.downtime, h.replayed_receives
-                    ),
-                );
-            }
-            sched.schedule_in(h.downtime, Ev::Recovered { mh });
+            sched.schedule_in(h.downtime, Ev::Recovered { mh: MhId(h.proc.0) });
         }
     }
 
-    fn on_recovered(&mut self, sched: &mut Scheduler<Ev>, now: SimTime, mh: MhId) {
+    fn on_recovered(&mut self, sched: &mut Scheduler<Ev>, mh: MhId) {
         let i = mh.idx();
         let relaunch_mobility = {
             let f = self.fault.as_mut().expect("recovery events need failures enabled");
@@ -925,14 +900,6 @@ impl Simulation {
             f.down[i] = false;
             std::mem::take(&mut f.mobility_lost[i])
         };
-        if !self.log.is_disabled() {
-            self.log.record(
-                now,
-                simkit::log::Level::Info,
-                "fail",
-                format!("{mh} recovered and resumes"),
-            );
-        }
         // Resume the workload under the fresh generation bumped at crash.
         let gen = self.activity_gen[i];
         let next = self.workload_rng[i].exp(self.cfg.internal_mean);
@@ -973,14 +940,6 @@ impl Simulation {
         if switch {
             // Basic checkpoint, then hand off to a uniformly chosen other cell.
             self.basic_checkpoint(now, mh, BasicReason::CellSwitch);
-            if !self.log.is_disabled() {
-                self.log.record(
-                    now,
-                    simkit::log::Level::Info,
-                    "mobility",
-                    format!("{mh} hands off"),
-                );
-            }
             let cur = self
                 .attach
                 .cell_of(mh)
@@ -1026,14 +985,6 @@ impl Simulation {
         } else {
             // Basic checkpoint, then voluntary disconnection.
             self.basic_checkpoint(now, mh, BasicReason::Disconnect);
-            if !self.log.is_disabled() {
-                self.log.record(
-                    now,
-                    simkit::log::Level::Info,
-                    "mobility",
-                    format!("{mh} disconnects"),
-                );
-            }
             if self.tracer.is_active() {
                 let cell = self.attach.cell_of(mh).expect("disconnecting host is connected");
                 self.tracer.emit(
@@ -1362,7 +1313,6 @@ impl Clone for Simulation {
             protos: self.protos.clone(),
             coord: self.coord.clone(),
             trace: self.trace.clone(),
-            log: self.log.clone(),
             tracer: Tracer::disabled(),
             registry: MetricsRegistry::disabled(),
             mailbox_depth: MetricsRegistry::disabled().gauge("mailbox.max_depth"),
@@ -1780,7 +1730,7 @@ impl Simulation {
     ///   reads a global trace;
     /// * no transport duplication — the duplicate draw consumes the shared
     ///   network RNG;
-    /// * no message logging and no debug event log — global stores;
+    /// * no message logging — a global store;
     /// * unlimited wireless bandwidth — a finite channel makes same-cell
     ///   senders observably interact through admission delays;
     /// * a positive wireless latency — it is the lookahead bounding the
@@ -1793,7 +1743,6 @@ impl Simulation {
             && !cfg.record_trace
             && cfg.dup_prob == 0.0
             && !cfg.logging.is_enabled()
-            && cfg.log_capacity == 0
             && cfg.wireless_bandwidth.is_infinite()
             && cfg.latencies.wireless > 0.0
             && !matches!(cfg.env.mobility, MobilitySpec::Trace { .. })
@@ -2063,7 +2012,7 @@ impl Model for Simulation {
             Ev::DeliverCtl { to, from, msg } => self.on_deliver_ctl(sched, now, to, from, msg),
             Ev::Crash { mh } => self.on_crash(sched, now, mh),
             Ev::MssCrash { mss } => self.on_mss_crash(sched, now, mss),
-            Ev::Recovered { mh } => self.on_recovered(sched, now, mh),
+            Ev::Recovered { mh } => self.on_recovered(sched, mh),
         }
         Control::Continue
     }

@@ -30,8 +30,8 @@
 //! observationally equivalent because — under the compatibility gate (CIC
 //! protocols, unlimited bandwidth, no failures/logging/duplication) —
 //! nothing any other host observes depends on which replica fires its
-//! events. End-of-run artifacts are byte-identical to the serial backends;
-//! the cross-backend parity tests enforce this.
+//! events. End-of-run artifacts are byte-identical to the serial run; the
+//! cross-backend parity tests enforce this.
 //!
 //! Configurations outside the gate (or `workers <= 1`) fall back to the
 //! serial engine, so `run` is always safe to call.
@@ -120,8 +120,8 @@ fn encode_peek(t: Option<SimTime>) -> u64 {
 }
 
 /// Runs `cfg` to its horizon across `workers` threads and returns the
-/// report — byte-identical to [`Simulation::run_with`] on the serial
-/// backends for every parallel-compatible configuration.
+/// report — byte-identical to [`Simulation::run_with`] for every
+/// parallel-compatible configuration.
 ///
 /// Falls back to the serial engine when `workers <= 1` (after clamping to
 /// the cell count — more workers than cells would idle), when the
@@ -141,11 +141,6 @@ pub fn run(cfg: SimConfig, workers: usize, instr: Instrumentation) -> RunReport 
     let want_profile = instr.profile;
     let want_spans = instr.spans;
     let instrumented = want_profile || want_spans;
-    // Host migration detaches pending events by predicate, which only the
-    // heap scheduler supports; behaviour is backend-independent, so the
-    // report still matches whatever backend `cfg` named.
-    let mut worker_cfg = cfg;
-    worker_cfg.queue = QueueBackend::Heap;
 
     let peeks: Vec<AtomicU64> = (0..n_parts).map(|_| AtomicU64::new(u64::MAX)).collect();
     let barrier = SpinBarrier::new(n_parts);
@@ -156,7 +151,7 @@ pub fn run(cfg: SimConfig, workers: usize, instr: Instrumentation) -> RunReport 
     let wall_start = Instant::now();
     std::thread::scope(|scope| {
         for w in 0..n_parts {
-            let worker_cfg = worker_cfg.clone();
+            let worker_cfg = cfg.clone();
             let (peeks, barrier, slots, outs) = (&peeks, &barrier, &slots, &outs);
             scope.spawn(move || {
                 // Each worker bootstraps an identical full replica, then

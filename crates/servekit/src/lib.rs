@@ -11,7 +11,7 @@
 //!   hand-rolled SHA-256; the repo builds offline, no external digests;
 //! * [`key`] — request → content address: configuration normalization
 //!   (includes every byte-shaping knob, excludes byte-neutral host-local
-//!   choices like the queue backend) plus the artifact schema tag, so a
+//!   choices like the worker count) plus the artifact schema tag, so a
 //!   schema bump invalidates rather than mis-serves;
 //! * [`cache`] — the on-disk store: `index.json` + `objects/<key>.json`,
 //!   atomic write-rename publication, hit/miss/evict/corrupt accounting,

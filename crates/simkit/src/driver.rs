@@ -88,7 +88,7 @@ pub fn run_until<M: Model>(
 }
 
 /// Wall-clock profile of the event loop, collected by
-/// [`run_until_profiled`].
+/// [`run_until_spanned`].
 ///
 /// Everything here is measured on the host clock and therefore varies from
 /// run to run; it is reported *alongside* the deterministic simulation
@@ -143,57 +143,6 @@ impl EngineProfile {
         }
         self.events_handled as f64 / (self.wall_ns as f64 * 1e-9)
     }
-}
-
-/// [`run_until`] with wall-clock instrumentation of the hot loop.
-///
-/// Identical simulation semantics — same pop order, same horizon rule, same
-/// stop handling — plus an [`EngineProfile`] of where real time went. The
-/// per-event `Instant` reads cost a few tens of nanoseconds per dispatch, so
-/// the uninstrumented [`run_until`] remains the default path.
-pub fn run_until_profiled<M: Model>(
-    model: &mut M,
-    sched: &mut Scheduler<M::Event>,
-    horizon: SimTime,
-) -> (RunOutcome, EngineProfile) {
-    let mut profile = EngineProfile::new();
-    let started = std::time::Instant::now();
-    let mut handled = 0;
-    let outcome = loop {
-        match sched.peek_time() {
-            None => {
-                break RunOutcome {
-                    events_handled: handled,
-                    end_time: sched.now(),
-                    hit_horizon: false,
-                }
-            }
-            Some(t) if t >= horizon => {
-                break RunOutcome {
-                    events_handled: handled,
-                    end_time: sched.now(),
-                    hit_horizon: true,
-                }
-            }
-            Some(_) => {}
-        }
-        profile.queue_depth.record(sched.len() as f64);
-        let t0 = std::time::Instant::now();
-        let fired = sched.pop().expect("peeked event exists");
-        handled += 1;
-        let control = model.handle(sched, fired);
-        profile.dispatch_ns.record(t0.elapsed().as_nanos() as f64);
-        if control == Control::Stop {
-            break RunOutcome {
-                events_handled: handled,
-                end_time: sched.now(),
-                hit_horizon: false,
-            };
-        }
-    };
-    profile.events_handled = handled;
-    profile.wall_ns = started.elapsed().as_nanos() as u64;
-    (outcome, profile)
 }
 
 /// Throttled live progress reporting to stderr.
@@ -270,8 +219,8 @@ impl Progress {
 ///   per-event loop slice: peek + pop + handle);
 /// * drives the optional [`Progress`] reporter off clocks it already read.
 ///
-/// With a disabled profiler and no progress reporter this degenerates to
-/// [`run_until_profiled`]'s cost: two `Instant` reads per event.
+/// With a disabled profiler and no progress reporter the added cost is two
+/// `Instant` reads per event.
 pub fn run_until_spanned<M: Model>(
     model: &mut M,
     sched: &mut Scheduler<M::Event>,
@@ -402,31 +351,6 @@ mod tests {
         let out = run_until(&mut m, &mut s, SimTime::new(100.0));
         assert_eq!(out.events_handled, 2);
         assert!(!out.hit_horizon);
-    }
-
-    #[test]
-    fn profiled_run_matches_plain_run() {
-        let mk = || Chain {
-            remaining: 20,
-            stop_at: None,
-            seen: vec![],
-        };
-        let mut m1 = mk();
-        let mut s1 = Scheduler::new();
-        s1.schedule_at(SimTime::ZERO, ());
-        let plain = run_until(&mut m1, &mut s1, SimTime::new(10.5));
-
-        let mut m2 = mk();
-        let mut s2 = Scheduler::new();
-        s2.schedule_at(SimTime::ZERO, ());
-        let (profiled, profile) = run_until_profiled(&mut m2, &mut s2, SimTime::new(10.5));
-
-        assert_eq!(plain, profiled);
-        assert_eq!(m1.seen, m2.seen);
-        assert_eq!(profile.events_handled, plain.events_handled);
-        assert_eq!(profile.dispatch_ns.count(), plain.events_handled);
-        assert_eq!(profile.queue_depth.count(), plain.events_handled);
-        assert!(profile.events_per_sec() > 0.0);
     }
 
     #[test]

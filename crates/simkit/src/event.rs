@@ -11,63 +11,11 @@
 //!    is a pure function of its inputs and RNG seed.
 //! 3. **No past scheduling** — scheduling an event before the current clock
 //!    panics; time travel is always a model bug.
-//!
-//! Events may be cancelled through the [`EventHandle`] returned at schedule
-//! time; cancelled entries are dropped lazily when they reach the head of the
-//! heap, which keeps cancellation O(1).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 
-use crate::calendar::CalendarQueue;
 use crate::time::SimTime;
-
-/// Which data structure backs the scheduler's pending-event set.
-///
-/// Both backends honour the same contract (non-decreasing pops, FIFO
-/// tie-breaking by insertion order, lazy cancellation), so a run is
-/// byte-identical under either; property tests enforce this. The choice
-/// only affects wall-clock speed: the heap has the better constants at the
-/// simulator's typical pending sizes (tens of events), the calendar queue
-/// wins asymptotically on very large event sets (see the `engine` bench).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueBackend {
-    /// Binary heap — O(log n) per op, excellent constants (default).
-    #[default]
-    Heap,
-    /// Calendar queue — amortized O(1) (R. Brown, CACM 1988).
-    Calendar,
-}
-
-impl QueueBackend {
-    /// Stable lowercase name, as used by config files and `--queue`.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueBackend::Heap => "heap",
-            QueueBackend::Calendar => "calendar",
-        }
-    }
-
-    /// Parses a backend name (`"heap"` or `"calendar"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "heap" => Some(QueueBackend::Heap),
-            "calendar" => Some(QueueBackend::Calendar),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for QueueBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Opaque handle identifying one scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
 
 /// A `(time, payload)` pair as returned by [`Scheduler::pop`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,31 +52,14 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Calendar payload: the scheduler's sequence number rides along so lazy
-/// cancellation can identify entries. The calendar's own insertion counter
-/// advances in lockstep, so FIFO tie-breaking matches the heap exactly.
-#[derive(Debug, Clone)]
-struct Tagged<E> {
-    seq: u64,
-    event: E,
-}
-
-#[derive(Clone)]
-enum Backing<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(CalendarQueue<Tagged<E>>),
-}
-
-/// Deterministic pending-event set with lazy cancellation.
+/// Deterministic pending-event set: one binary heap ordered by
+/// `(time, seq)`.
 #[derive(Clone)]
 pub struct Scheduler<E> {
-    backing: Backing<E>,
-    backend: QueueBackend,
-    cancelled: HashSet<u64>,
+    heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     next_seq: u64,
     popped: u64,
-    scheduled: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -138,33 +69,14 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// Creates an empty scheduler with the clock at [`SimTime::ZERO`],
-    /// backed by the default [`QueueBackend`].
+    /// Creates an empty scheduler with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
-        Self::with_backend(QueueBackend::default())
-    }
-
-    /// Creates an empty scheduler backed by the chosen pending-event
-    /// structure. Behaviour is identical across backends; only the
-    /// constant factors differ.
-    pub fn with_backend(backend: QueueBackend) -> Self {
         Scheduler {
-            backing: match backend {
-                QueueBackend::Heap => Backing::Heap(BinaryHeap::new()),
-                QueueBackend::Calendar => Backing::Calendar(CalendarQueue::new()),
-            },
-            backend,
-            cancelled: HashSet::new(),
+            heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
-            scheduled: 0,
         }
-    }
-
-    /// Which backend this scheduler was built with.
-    pub fn backend(&self) -> QueueBackend {
-        self.backend
     }
 
     /// Current simulation time (the timestamp of the last popped event).
@@ -177,7 +89,7 @@ impl<E> Scheduler<E> {
     ///
     /// # Panics
     /// Panics if `at` is earlier than the current clock.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventHandle {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: at={at}, now={}",
@@ -185,21 +97,16 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.scheduled += 1;
-        match &mut self.backing {
-            Backing::Heap(heap) => heap.push(Entry {
-                time: at,
-                seq,
-                event,
-            }),
-            Backing::Calendar(cal) => cal.schedule_at(at, Tagged { seq, event }),
-        }
-        EventHandle(seq)
+        self.heap.push(Entry {
+            time: at,
+            seq,
+            event,
+        });
     }
 
     /// Schedules `event` after a non-negative `delay` from the current clock.
     #[inline]
-    pub fn schedule_in(&mut self, delay: f64, event: E) -> EventHandle {
+    pub fn schedule_in(&mut self, delay: f64, event: E) {
         assert!(
             delay.is_finite() && delay >= 0.0,
             "delay must be finite and non-negative, got {delay}"
@@ -207,133 +114,50 @@ impl<E> Scheduler<E> {
         self.schedule_at(self.now + delay, event)
     }
 
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event had not yet fired (or been cancelled).
-    /// Cancelling an already-fired handle returns `false` and is harmless.
-    ///
-    /// Costs a scan of the pending set (cancellation is rare — nothing in
-    /// the simulator's hot path cancels); in exchange, `schedule`/`pop`
-    /// carry no per-event liveness bookkeeping, and a stale handle can
-    /// never poison the cancelled set (which would corrupt [`len`]).
-    ///
-    /// [`len`]: Scheduler::len
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        if handle.0 >= self.next_seq || self.cancelled.contains(&handle.0) {
-            return false;
-        }
-        let pending = match &self.backing {
-            Backing::Heap(heap) => heap.iter().any(|e| e.seq == handle.0),
-            Backing::Calendar(cal) => cal.iter().any(|(_, t)| t.seq == handle.0),
-        };
-        pending && self.cancelled.insert(handle.0)
-    }
-
     /// Pops the earliest pending event, advancing the clock to its time.
     ///
-    /// Returns `None` when the event set is exhausted. Cancelled events are
-    /// skipped transparently.
+    /// Returns `None` when the event set is exhausted.
     pub fn pop(&mut self) -> Option<Fired<E>> {
-        let fired = match &mut self.backing {
-            Backing::Heap(heap) => loop {
-                let Some(entry) = heap.pop() else { break None };
-                if self.cancelled.remove(&entry.seq) {
-                    continue;
-                }
-                break Some(Fired {
-                    time: entry.time,
-                    event: entry.event,
-                });
-            },
-            Backing::Calendar(cal) => loop {
-                let Some((time, tagged)) = cal.peek() else { break None };
-                let seq = tagged.seq;
-                if self.cancelled.remove(&seq) {
-                    // Drop the dead head without raising the calendar's
-                    // no-time-travel floor (which tracks live pops only,
-                    // mirroring the heap's `now` semantics).
-                    cal.discard_next();
-                    continue;
-                }
-                let (_, tagged) = cal.pop().expect("peeked entry exists");
-                break Some(Fired {
-                    time,
-                    event: tagged.event,
-                });
-            },
-        };
-        let fired = fired?;
-        debug_assert!(fired.time >= self.now, "backing produced out-of-order event");
-        self.now = fired.time;
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.time >= self.now, "heap produced out-of-order event");
+        self.now = entry.time;
         self.popped += 1;
-        Some(fired)
+        Some(Fired {
+            time: entry.time,
+            event: entry.event,
+        })
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Purge dead entries at the head so the answer reflects a live event.
-        match &mut self.backing {
-            Backing::Heap(heap) => {
-                while let Some(entry) = heap.peek() {
-                    if self.cancelled.contains(&entry.seq) {
-                        let seq = heap.pop().expect("peeked entry exists").seq;
-                        self.cancelled.remove(&seq);
-                    } else {
-                        return Some(entry.time);
-                    }
-                }
-                None
-            }
-            Backing::Calendar(cal) => {
-                while let Some((time, tagged)) = cal.peek() {
-                    let seq = tagged.seq;
-                    if self.cancelled.remove(&seq) {
-                        cal.discard_next();
-                    } else {
-                        return Some(time);
-                    }
-                }
-                None
-            }
-        }
+    /// Timestamp of the next pending event without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        let raw = match &self.backing {
-            Backing::Heap(heap) => heap.len(),
-            Backing::Calendar(cal) => cal.len(),
-        };
-        raw - self.cancelled.len()
+        self.heap.len()
     }
 
-    /// `true` when no live events remain.
+    /// `true` when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
-    /// Lists the live pending events as `(handle, time, payload)` triples,
-    /// sorted by `(time, seq)` — the order `pop` would drain them.
+    /// Lists the pending events as `(seq, time, payload)` triples, sorted
+    /// by `(time, seq)` — the order `pop` would drain them.
     ///
     /// This is the *enabled set* used by the model checker: any listed
-    /// event may be selected to fire next via [`take`]. Cancelled entries
-    /// are excluded. Cost is O(n log n); the checker only runs on tiny
-    /// configs where n is a handful.
+    /// event may be selected to fire next via [`take`]. Cost is
+    /// O(n log n); the checker only runs on tiny configs where n is a
+    /// handful.
     ///
     /// [`take`]: Scheduler::take
     pub fn pending(&self) -> Vec<(u64, SimTime, &E)> {
-        let mut out: Vec<(u64, SimTime, &E)> = match &self.backing {
-            Backing::Heap(heap) => heap
-                .iter()
-                .filter(|e| !self.cancelled.contains(&e.seq))
-                .map(|e| (e.seq, e.time, &e.event))
-                .collect(),
-            Backing::Calendar(cal) => cal
-                .iter()
-                .filter(|(_, t)| !self.cancelled.contains(&t.seq))
-                .map(|(time, t)| (t.seq, time, &t.event))
-                .collect(),
-        };
+        let mut out: Vec<_> = self
+            .heap
+            .iter()
+            .map(|e| (e.seq, e.time, &e.event))
+            .collect();
         out.sort_by_key(|&(seq, time, _)| (time, seq));
         out
     }
@@ -351,33 +175,17 @@ impl<E> Scheduler<E> {
     /// pending one the clamp is a no-op and the result is byte-identical
     /// to `pop`; the seeded simulator never calls this.
     ///
-    /// Returns `None` if no live entry with that sequence number exists.
-    /// Heap backend only — the checker always runs on the heap.
+    /// Returns `None` if no pending entry has that sequence number.
     ///
     /// [`pop`]: Scheduler::pop
     pub fn take(&mut self, seq: u64) -> Option<Fired<E>> {
-        if self.cancelled.contains(&seq) {
-            return None;
-        }
-        let heap = match &mut self.backing {
-            Backing::Heap(heap) => heap,
-            Backing::Calendar(_) => {
-                panic!("Scheduler::take requires the heap backend (model checker)")
-            }
-        };
-        let mut entries = std::mem::take(heap).into_vec();
-        let pos = entries.iter().position(|e| e.seq == seq);
-        let entry = match pos {
-            Some(p) => {
-                let e = entries.swap_remove(p);
-                *heap = BinaryHeap::from(entries);
-                e
-            }
-            None => {
-                *heap = BinaryHeap::from(entries);
-                return None;
-            }
-        };
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        let taken = entries
+            .iter()
+            .position(|e| e.seq == seq)
+            .map(|p| entries.swap_remove(p));
+        self.heap = BinaryHeap::from(entries);
+        let entry = taken?;
         if entry.time > self.now {
             self.now = entry.time;
         }
@@ -388,46 +196,25 @@ impl<E> Scheduler<E> {
         })
     }
 
-    /// Removes every live pending event matching `pred`, returning them
-    /// sorted by `(time, seq)` — the order [`pop`] would have drained them.
+    /// Removes every pending event matching `pred`, returning them sorted
+    /// by `(time, seq)` — the order [`pop`] would have drained them.
     ///
     /// This is the partition primitive for the parallel backend: a worker
     /// bootstraps the full world, then strips the events it does not own;
     /// at a hand-off migration the departing host's pending events are
     /// extracted here and re-scheduled on the destination worker in the
     /// returned order, preserving FIFO tie-breaking across the move.
-    /// Cancelled entries matching nothing are left in place; cancelled
-    /// entries are never returned. Heap backend only, like [`take`] — the
-    /// parallel backend always runs its per-worker schedulers on the heap.
     ///
     /// [`pop`]: Scheduler::pop
-    /// [`take`]: Scheduler::take
     pub fn extract_where<F>(&mut self, mut pred: F) -> Vec<(SimTime, E)>
     where
         F: FnMut(&E) -> bool,
     {
-        let heap = match &mut self.backing {
-            Backing::Heap(heap) => heap,
-            Backing::Calendar(_) => {
-                panic!("Scheduler::extract_where requires the heap backend (parallel runner)")
-            }
-        };
-        let entries = std::mem::take(heap).into_vec();
-        let mut kept = Vec::with_capacity(entries.len());
-        let mut out: Vec<Entry<E>> = Vec::new();
-        for e in entries {
-            if self.cancelled.contains(&e.seq) {
-                // Dead entry: drop it for good, keeping `len()` exact.
-                self.cancelled.remove(&e.seq);
-                continue;
-            }
-            if pred(&e.event) {
-                out.push(e);
-            } else {
-                kept.push(e);
-            }
-        }
-        *heap = BinaryHeap::from(kept);
+        let (mut out, kept): (Vec<Entry<E>>, Vec<Entry<E>>) = std::mem::take(&mut self.heap)
+            .into_vec()
+            .into_iter()
+            .partition(|e| pred(&e.event));
+        self.heap = BinaryHeap::from(kept);
         out.sort_by_key(|e| (e.time, e.seq));
         out.into_iter().map(|e| (e.time, e.event)).collect()
     }
@@ -437,9 +224,10 @@ impl<E> Scheduler<E> {
         self.popped
     }
 
-    /// Total events ever scheduled.
+    /// Total events ever scheduled (each one took the next sequence
+    /// number).
     pub fn scheduled(&self) -> u64 {
-        self.scheduled
+        self.next_seq
     }
 }
 
@@ -501,58 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_event() {
-        let mut s = Scheduler::new();
-        let h1 = s.schedule_at(SimTime::new(1.0), "a");
-        s.schedule_at(SimTime::new(2.0), "b");
-        assert_eq!(s.len(), 2);
-        assert!(s.cancel(h1));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.pop().unwrap().event, "b");
-        assert!(s.pop().is_none());
-    }
-
-    #[test]
-    fn double_cancel_is_false() {
-        let mut s = Scheduler::new();
-        let h = s.schedule_at(SimTime::new(1.0), ());
-        assert!(s.cancel(h));
-        assert!(!s.cancel(h));
-    }
-
-    #[test]
-    fn cancel_unknown_handle_is_false() {
-        let mut s: Scheduler<()> = Scheduler::new();
-        assert!(!s.cancel(EventHandle(42)));
-    }
-
-    #[test]
-    fn cancel_after_fire_is_false_and_keeps_len_exact() {
-        // A fired handle must not poison the cancelled set: `len()` would
-        // drift (and eventually underflow) on either backend.
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            let mut s = Scheduler::with_backend(backend);
-            let h = s.schedule_at(SimTime::new(1.0), "fires");
-            s.schedule_at(SimTime::new(2.0), "stays");
-            assert_eq!(s.pop().unwrap().event, "fires");
-            assert!(!s.cancel(h), "{backend}: handle already fired");
-            assert_eq!(s.len(), 1, "{backend}");
-            assert_eq!(s.pop().unwrap().event, "stays");
-            assert!(s.pop().is_none());
-        }
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut s = Scheduler::new();
-        let h = s.schedule_at(SimTime::new(1.0), "dead");
-        s.schedule_at(SimTime::new(2.0), "live");
-        s.cancel(h);
-        assert_eq!(s.peek_time(), Some(SimTime::new(2.0)));
-        assert_eq!(s.pop().unwrap().event, "live");
-    }
-
-    #[test]
     fn counters_track_activity() {
         let mut s = Scheduler::new();
         s.schedule_in(1.0, ());
@@ -573,40 +309,23 @@ mod tests {
     }
 
     #[test]
-    fn backend_roundtrip_and_names() {
-        assert_eq!(QueueBackend::default(), QueueBackend::Heap);
-        for b in [QueueBackend::Heap, QueueBackend::Calendar] {
-            assert_eq!(QueueBackend::parse(b.name()), Some(b));
-            assert_eq!(b.to_string(), b.name());
-        }
-        assert_eq!(QueueBackend::parse("splay"), None);
-        let s: Scheduler<()> = Scheduler::with_backend(QueueBackend::Calendar);
-        assert_eq!(s.backend(), QueueBackend::Calendar);
-    }
-
-    #[test]
     fn pending_lists_live_events_in_pop_order() {
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            let mut s = Scheduler::with_backend(backend);
-            s.schedule_at(SimTime::new(2.0), "b");
-            s.schedule_at(SimTime::new(1.0), "a");
-            let dead = s.schedule_at(SimTime::new(1.5), "dead");
-            s.schedule_at(SimTime::new(2.0), "b2");
-            s.cancel(dead);
-            let pend = s.pending();
-            let evs: Vec<_> = pend.iter().map(|&(_, t, e)| (t, *e)).collect();
-            assert_eq!(
-                evs,
-                vec![
-                    (SimTime::new(1.0), "a"),
-                    (SimTime::new(2.0), "b"),
-                    (SimTime::new(2.0), "b2"),
-                ],
-                "{backend}"
-            );
-            // FIFO tie: the seq of "b" precedes the seq of "b2".
-            assert!(pend[1].0 < pend[2].0, "{backend}");
-        }
+        let mut s = Scheduler::new();
+        s.schedule_at(SimTime::new(2.0), "b");
+        s.schedule_at(SimTime::new(1.0), "a");
+        s.schedule_at(SimTime::new(2.0), "b2");
+        let pend = s.pending();
+        let evs: Vec<_> = pend.iter().map(|&(_, t, e)| (t, *e)).collect();
+        assert_eq!(
+            evs,
+            vec![
+                (SimTime::new(1.0), "a"),
+                (SimTime::new(2.0), "b"),
+                (SimTime::new(2.0), "b2"),
+            ]
+        );
+        // FIFO tie: the seq of "b" precedes the seq of "b2".
+        assert!(pend[1].0 < pend[2].0);
     }
 
     #[test]
@@ -637,14 +356,12 @@ mod tests {
     }
 
     #[test]
-    fn extract_where_preserves_order_and_skips_cancelled() {
+    fn extract_where_preserves_order() {
         let mut s = Scheduler::new();
         s.schedule_at(SimTime::new(2.0), "b-keep");
         s.schedule_at(SimTime::new(1.0), "a-take");
-        let dead = s.schedule_at(SimTime::new(1.5), "c-take");
         s.schedule_at(SimTime::new(1.0), "d-take");
         s.schedule_at(SimTime::new(3.0), "e-keep");
-        s.cancel(dead);
         let taken = s.extract_where(|e| e.ends_with("take"));
         let got: Vec<_> = taken.iter().map(|(t, e)| (t.as_f64(), *e)).collect();
         // Sorted (time, seq): the two t=1.0 entries keep schedule order.
@@ -653,16 +370,6 @@ mod tests {
         assert_eq!(s.pop().unwrap().event, "b-keep");
         assert_eq!(s.pop().unwrap().event, "e-keep");
         assert!(s.pop().is_none());
-    }
-
-    #[test]
-    fn take_skips_cancelled_entries() {
-        let mut s = Scheduler::new();
-        let h = s.schedule_at(SimTime::new(1.0), "dead");
-        let seq = s.pending()[0].0;
-        s.cancel(h);
-        assert!(s.take(seq).is_none());
-        assert!(s.pending().is_empty());
     }
 
     #[test]
@@ -679,24 +386,20 @@ mod tests {
     }
 
     #[test]
-    fn calendar_backend_matches_heap_semantics() {
-        for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-            let mut s = Scheduler::with_backend(backend);
-            // Ties, cancellation mid-stream, peek purging, reschedule after pop.
-            s.schedule_at(SimTime::new(2.0), "b1");
-            s.schedule_at(SimTime::new(2.0), "b2");
-            let dead = s.schedule_at(SimTime::new(1.0), "dead");
-            s.schedule_at(SimTime::new(3.0), "c");
-            assert!(s.cancel(dead));
-            assert_eq!(s.peek_time(), Some(SimTime::new(2.0)), "{backend}");
-            assert_eq!(s.len(), 3);
-            assert_eq!(s.pop().unwrap().event, "b1", "{backend}");
-            assert_eq!(s.now(), SimTime::new(2.0));
-            // Scheduling between now and the next pending event must work
-            // even after a peek advanced the backend's scan position.
-            s.schedule_at(SimTime::new(2.5), "mid");
-            let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|f| f.event).collect();
-            assert_eq!(order, vec!["b2", "mid", "c"], "{backend}");
-        }
+    fn peek_and_mid_schedule_keep_fifo_order() {
+        let mut s = Scheduler::new();
+        // Ties, peek, reschedule after pop.
+        s.schedule_at(SimTime::new(2.0), "b1");
+        s.schedule_at(SimTime::new(2.0), "b2");
+        s.schedule_at(SimTime::new(3.0), "c");
+        assert_eq!(s.peek_time(), Some(SimTime::new(2.0)));
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.pop().unwrap().event, "b1");
+        assert_eq!(s.now(), SimTime::new(2.0));
+        // Scheduling between now and the next pending event must work
+        // after a peek.
+        s.schedule_at(SimTime::new(2.5), "mid");
+        let order: Vec<_> = std::iter::from_fn(|| s.pop()).map(|f| f.event).collect();
+        assert_eq!(order, vec!["b2", "mid", "c"]);
     }
 }

@@ -4,10 +4,8 @@
 //! It provides:
 //!
 //! * [`time::SimTime`] — totally ordered simulation time;
-//! * [`event::Scheduler`] — the pending-event set, with deterministic FIFO
-//!   tie-breaking and O(1) cancellation;
-//! * [`calendar::CalendarQueue`] — the classic O(1)-amortized alternative
-//!   pending-event structure, equivalence-tested against the heap;
+//! * [`event::Scheduler`] — the pending-event set, a binary heap with
+//!   deterministic FIFO tie-breaking;
 //! * [`driver`] — the generic pop/dispatch event loop;
 //! * [`pool::JobPool`] — a bounded work-stealing job pool that runs
 //!   independent jobs (whole simulation replications) across cores with
@@ -18,7 +16,6 @@
 //! * [`stats`] — counters, Welford tallies, time-weighted averages,
 //!   log-binned histograms, batch means, and Student-t confidence
 //!   intervals for replication summaries;
-//! * [`log`] — a bounded, taggable event log for post-mortem debugging;
 //! * [`metrics`] — a named counter/gauge/histogram registry, near-zero
 //!   cost when disabled, snapshotable to JSON;
 //! * [`span`] — a hierarchical span profiler attributing wall-clock time,
@@ -65,11 +62,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calendar;
 pub mod driver;
 pub mod event;
 pub mod json;
-pub mod log;
 pub mod metrics;
 pub mod pool;
 pub mod rng;
@@ -80,14 +75,11 @@ pub mod trace;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::calendar::CalendarQueue;
     pub use crate::driver::{
-        run_until, run_until_profiled, run_until_spanned, Control, EngineProfile, Model,
-        Progress, RunOutcome,
+        run_until, run_until_spanned, Control, EngineProfile, Model, Progress, RunOutcome,
     };
-    pub use crate::event::{EventHandle, Fired, QueueBackend, Scheduler};
+    pub use crate::event::{Fired, Scheduler};
     pub use crate::json::Json;
-    pub use crate::log::{EventLog, Level, LogEntry};
     pub use crate::metrics::{MetricsRegistry, MetricsSnapshot};
     pub use crate::pool::{Job, JobPanic, JobPool};
     pub use crate::rng::SimRng;

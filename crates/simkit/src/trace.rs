@@ -1,14 +1,11 @@
 //! Structured run tracing.
 //!
-//! Where [`crate::log::EventLog`] records free-form debug text, this module
-//! carries **typed** events — checkpoints, message lifecycle, mobility,
-//! recovery-line updates — each stamped with simulation time and a
+//! This module carries **typed** events — checkpoints, message lifecycle,
+//! mobility, recovery-line updates — each stamped with simulation time and a
 //! monotonically increasing sequence number. Events flow through a
 //! [`Tracer`] to any number of subscribed [`TraceSink`]s:
 //!
-//! * [`MemorySink`] — a bounded in-memory ring (the structured counterpart
-//!   of `EventLog`, which itself also implements [`TraceSink`] for
-//!   human-readable capture);
+//! * [`MemorySink`] — a bounded in-memory ring;
 //! * [`JsonlSink`] — streams one JSON object per line to any writer, the
 //!   machine-readable form consumed by `mck inspect` and external tooling.
 //!
@@ -19,7 +16,6 @@
 use std::io::Write;
 
 use crate::json::Json;
-use crate::log::{EventLog, Level};
 use crate::time::SimTime;
 
 /// Why a checkpoint was taken.
@@ -152,7 +148,7 @@ impl TraceEvent {
         }
     }
 
-    /// Short human rendering (used when mirroring into an [`EventLog`]).
+    /// Short human rendering, one line per event.
     pub fn describe(&self) -> String {
         match self {
             TraceEvent::Checkpoint {
@@ -352,14 +348,6 @@ impl TraceSink for MemorySink {
             self.dropped += 1;
         }
         self.records.push_back(rec.clone());
-    }
-}
-
-/// `EventLog` doubles as a human-readable trace sink: each typed event is
-/// mirrored as a `Debug`-level entry tagged with the event kind.
-impl TraceSink for EventLog {
-    fn on_record(&mut self, rec: &TraceRecord) {
-        self.record(rec.time, Level::Debug, rec.event.kind(), rec.event.describe());
     }
 }
 
@@ -639,25 +627,6 @@ mod tests {
             assert_eq!(&rec.event, &events[i]);
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn event_log_acts_as_sink() {
-        let mut log = EventLog::new(16);
-        let rec = TraceRecord {
-            seq: 0,
-            time: t(2.5),
-            event: TraceEvent::Handoff {
-                mh: 1,
-                from_cell: 0,
-                to_cell: 2,
-            },
-        };
-        log.on_record(&rec);
-        let entry = log.entries().next().unwrap();
-        assert_eq!(entry.tag, "handoff");
-        assert!(entry.message.contains("MH1"));
-        assert_eq!(entry.time, t(2.5));
     }
 
     #[test]

@@ -41,38 +41,6 @@ fn scheduler_orders_events() {
     }
 }
 
-/// Cancelling an arbitrary subset removes exactly that subset.
-#[test]
-fn cancellation_removes_exactly_the_cancelled() {
-    for case in 0..CASES {
-        let mut gen = SimRng::new(0x5EED_0002 ^ case);
-        let n = 1 + gen.index(100);
-        let times: Vec<f64> = (0..n).map(|_| gen.uniform_in(0.0, 100.0)).collect();
-        let cancel_mask: Vec<bool> = (0..n).map(|_| gen.bernoulli(0.5)).collect();
-        let mut sched = Scheduler::new();
-        let handles: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, sched.schedule_at(SimTime::new(t), i)))
-            .collect();
-        let mut expected: Vec<usize> = vec![];
-        for (i, h) in &handles {
-            if cancel_mask[*i] {
-                assert!(sched.cancel(*h));
-            } else {
-                expected.push(*i);
-            }
-        }
-        let mut popped: Vec<usize> = vec![];
-        while let Some(f) = sched.pop() {
-            popped.push(f.event);
-        }
-        popped.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(popped, expected);
-    }
-}
-
 /// The exponential sampler is non-negative and scales with its mean.
 #[test]
 fn exponential_scales() {
@@ -207,29 +175,60 @@ fn runs_are_deterministic() {
     assert_ne!(run(99).0, run(100).0);
 }
 
-/// The heap-backed and calendar-backed `Scheduler` produce identical pop
-/// sequences under the simulator's real operation mix: bursts of schedules
-/// (hold pattern, long-tail exponential offsets, exact ties), cancellations
-/// of arbitrary live handles, interleaved `peek_time`, and fill/drain waves
-/// that push the calendar through its resize-grow *and* resize-shrink
-/// boundaries.
+/// Linear-scan reference pending-event set: `pop` removes the minimum
+/// `(time, insertion index)` of a `Vec`.
+struct Reference {
+    pending: Vec<(SimTime, u64, u64)>,
+    inserted: u64,
+    popped: u64,
+    now: SimTime,
+}
+
+impl Reference {
+    fn schedule_at(&mut self, at: SimTime, id: u64) {
+        self.pending.push((at, self.inserted, id));
+        self.inserted += 1;
+    }
+
+    /// Position of the minimum `(time, insertion index)`.
+    fn head(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by_key(|&k| (self.pending[k].0, self.pending[k].1))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.head().map(|k| self.pending[k].0)
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let (time, _, id) = self.pending.swap_remove(self.head()?);
+        self.now = time;
+        self.popped += 1;
+        Some((time, id))
+    }
+}
+
+/// Two pending-event backends, the heap `Scheduler` and the linear-scan
+/// reference, pop exactly the same events under the simulator's real
+/// operation mix: bursts of schedules (long-tail exponential offsets, exact
+/// ties), interleaved `peek_time`, and fill/drain waves that grow the set to
+/// hundreds of events and drain it back down.
 #[test]
 fn scheduler_backends_agree_under_real_mix() {
     for case in 0..CASES {
         let mut gen = SimRng::new(0x5EED_0008 ^ case);
         let mut heap = Scheduler::new();
-        let mut cal = Scheduler::with_backend(QueueBackend::Calendar);
-        assert_eq!(cal.backend(), QueueBackend::Calendar);
+        let mut reference = Reference {
+            pending: vec![],
+            inserted: 0,
+            popped: 0,
+            now: SimTime::ZERO,
+        };
         let mut next_id = 0u64;
-        let mut live: Vec<(simkit::event::EventHandle, simkit::event::EventHandle)> = vec![];
-        // Three waves: grow (schedule-heavy), churn (balanced with cancels
-        // and peeks), drain (pop-heavy, shrinking the calendar back down).
-        for &(p_sched, p_cancel, ops) in
-            &[(0.85, 0.05, 400usize), (0.45, 0.15, 300), (0.10, 0.05, 500)]
-        {
+        // Three waves: grow (schedule-heavy), churn (balanced), drain
+        // (pop-heavy).
+        for &(p_sched, ops) in &[(0.85, 400usize), (0.45, 300), (0.10, 500)] {
             for _ in 0..ops {
-                let r = gen.uniform_in(0.0, 1.0);
-                if r < p_sched {
+                if gen.uniform_in(0.0, 1.0) < p_sched {
                     // Ties are common in the simulator (zero-latency hops),
                     // so schedule exact duplicates with probability 1/4.
                     let dt = if gen.bernoulli(0.25) {
@@ -240,73 +239,28 @@ fn scheduler_backends_agree_under_real_mix() {
                     };
                     let at = SimTime::new(heap.now().as_f64() + dt);
                     next_id += 1;
-                    let (a, b) = (heap.schedule_at(at, next_id), cal.schedule_at(at, next_id));
-                    live.push((a, b));
-                } else if r < p_sched + p_cancel && !live.is_empty() {
-                    let (a, b) = live.swap_remove(gen.index(live.len()));
-                    assert_eq!(heap.cancel(a), cal.cancel(b));
+                    heap.schedule_at(at, next_id);
+                    reference.schedule_at(at, next_id);
                 } else {
                     if gen.bernoulli(0.3) {
-                        assert_eq!(heap.peek_time(), cal.peek_time());
+                        assert_eq!(heap.peek_time(), reference.peek_time());
                     }
-                    let x = heap.pop().map(|f| (f.time, f.event));
-                    let y = cal.pop().map(|f| (f.time, f.event));
-                    assert_eq!(x, y, "backends diverged (case {case})");
+                    let got = heap.pop().map(|f| (f.time, f.event));
+                    assert_eq!(got, reference.pop(), "pop diverged (case {case})");
                 }
             }
-            assert_eq!(heap.len(), cal.len(), "live counts diverged (case {case})");
+            assert_eq!(heap.len(), reference.pending.len(), "case {case}");
         }
         // Drain both to the end.
         loop {
-            let x = heap.pop().map(|f| (f.time, f.event));
-            let y = cal.pop().map(|f| (f.time, f.event));
-            assert_eq!(x, y);
-            if x.is_none() {
+            let got = heap.pop().map(|f| (f.time, f.event));
+            assert_eq!(got, reference.pop());
+            if got.is_none() {
                 break;
             }
         }
-        assert_eq!(heap.popped(), cal.popped());
-        assert_eq!(heap.scheduled(), cal.scheduled());
-        assert_eq!(heap.now(), cal.now());
-    }
-}
-
-/// The calendar queue and the binary-heap scheduler agree exactly on any
-/// interleaving of schedules and pops (same times, same FIFO tie-breaking)
-/// — two pending-event-set implementations validating each other.
-#[test]
-fn calendar_queue_matches_heap() {
-    use simkit::calendar::CalendarQueue;
-    for case in 0..CASES {
-        let mut gen = SimRng::new(0x5EED_0007 ^ case);
-        let n_ops = 1 + gen.index(300);
-        let mut heap = Scheduler::new();
-        let mut cal = CalendarQueue::new();
-        let mut next_id = 0u64;
-        let mut frontier = 0.0f64; // latest popped time: schedule at/after it
-        for _ in 0..n_ops {
-            if gen.bernoulli(0.5) {
-                let from_heap = heap.pop().map(|f| (f.time, f.event));
-                let from_cal = cal.pop();
-                assert_eq!(from_heap, from_cal);
-                if let Some((t, _)) = from_heap {
-                    frontier = t.as_f64();
-                }
-            } else {
-                let at = SimTime::new(frontier + gen.uniform_in(0.0, 500.0));
-                next_id += 1;
-                heap.schedule_at(at, next_id);
-                cal.schedule_at(at, next_id);
-            }
-        }
-        // Drain both.
-        loop {
-            let a = heap.pop().map(|f| (f.time, f.event));
-            let b = cal.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        assert_eq!(heap.popped(), reference.popped);
+        assert_eq!(heap.scheduled(), reference.inserted);
+        assert_eq!(heap.now(), reference.now);
     }
 }

@@ -4,15 +4,16 @@
 //! cargo run --release -p mck-suite --example trace_export
 //! ```
 //!
-//! Runs a short QBC simulation with trace recording and the debugging
-//! event log enabled, exports the causality trace to the v1 text format
-//! (the interface for external analysis tools), parses it back, and shows
-//! that the reconstructed trace supports the same analyses. Also prints
-//! the first few event-log lines — the simulator's flight recorder.
+//! Runs a short QBC simulation with trace recording and an in-memory trace
+//! stream, exports the causality trace to the v1 text format (the interface
+//! for external analysis tools), parses it back, and shows that the
+//! reconstructed trace supports the same analyses. Also prints the first
+//! few records of the trace stream — the simulator's flight recorder.
 
 use causality::cut::latest_recovery_line;
 use causality::textio::{from_text, to_text};
 use mck::prelude::*;
+use simkit::trace::Tracer;
 
 fn main() {
     let cfg = SimConfig {
@@ -21,11 +22,14 @@ fn main() {
         p_switch: 0.8,
         horizon: 200.0,
         record_trace: true,
-        log_capacity: 10_000,
         seed: 21,
         ..Default::default()
     };
-    let report = Simulation::run(cfg);
+    let instr = Instrumentation {
+        tracer: Tracer::disabled().with_memory(10_000),
+        ..Instrumentation::off()
+    };
+    let report = Simulation::run_with(cfg, instr);
     let trace = report.trace.as_ref().expect("trace recorded");
 
     let text = to_text(trace);
@@ -49,14 +53,15 @@ fn main() {
         line_a.ordinals()
     );
 
-    println!("\nevent-log excerpt (the simulator's flight recorder):");
-    for entry in report.log.entries().take(8) {
+    println!("\ntrace-stream excerpt (the simulator's flight recorder):");
+    let stream = report.trace_events.as_ref().expect("memory sink attached");
+    for rec in stream.records().take(8) {
         println!(
-            "  [{:>8.3}] {:<8} {}",
-            entry.time.as_f64(),
-            entry.tag,
-            entry.message
+            "  [{:>8.3}] {:<10} {}",
+            rec.time.as_f64(),
+            rec.event.kind(),
+            rec.event.describe()
         );
     }
-    println!("  ... {} entries total", report.log.len());
+    println!("  ... {} records total", stream.len());
 }

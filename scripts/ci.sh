@@ -32,23 +32,23 @@ trap 'rm -rf "$out_dir"' EXIT
 # The trace stream must be non-empty JSONL.
 [ -s "$out_dir/trace.jsonl" ]
 
-echo "==> smoke: determinism across --jobs and --queue"
+echo "==> smoke: determinism across --jobs"
 "$mck" run --protocol qbc --horizon 1000 --t-switch 200 \
     --jobs 1 > "$out_dir/seq.txt"
 "$mck" run --protocol qbc --horizon 1000 --t-switch 200 \
-    --jobs 4 --queue calendar > "$out_dir/par.txt"
+    --jobs 4 > "$out_dir/par.txt"
 diff -q "$out_dir/seq.txt" "$out_dir/par.txt"
 
-# Intra-run parallel backend parity: --queue parallel (the conservative
+# Intra-run parallel backend parity: --par-workers (the conservative
 # cell-partitioned backend, crates/pardes) must produce a byte-identical
-# mck.run/v1 artifact to the serial heap scheduler; the deterministic
+# mck.run/v1 artifact to the serial run; the deterministic
 # view diff pins every config, outcome, and metrics byte.
 echo "==> smoke: serial vs parallel backend byte parity"
 mkdir -p "$out_dir/pd_ser" "$out_dir/pd_par"
 "$mck" run --protocol qbc --horizon 1000 --t-switch 200 \
     --metrics "$out_dir/pd_ser/run.json" >/dev/null
 "$mck" run --protocol qbc --horizon 1000 --t-switch 200 \
-    --queue parallel --par-workers 4 \
+    --par-workers 4 \
     --metrics "$out_dir/pd_par/run.json" >/dev/null
 "$mck" inspect --deterministic "$out_dir/pd_ser/run.json" > "$out_dir/pd_ser/det.json"
 "$mck" inspect --deterministic "$out_dir/pd_par/run.json" > "$out_dir/pd_par/det.json"
@@ -198,17 +198,6 @@ if [ $((best_on * 100)) -gt $((best_off * 125)) ]; then
     exit 1
 fi
 
-# Parallel speedup gate: par-bench first asserts serial and parallel
-# artifacts are byte-identical at every N (aborting otherwise), then
-# enforces the 2x events/sec floor at N=10^4 with 4 workers. On hosts
-# without the cores to make 2x physically achievable the gate reports
-# and skips instead of failing; the byte-identity assertion always runs.
-echo "==> smoke: figures par-bench --check-regression (N=10^4, 4 workers)"
-mkdir -p "$out_dir/par_bench"
-"$figures" par-bench --n-list 1000,10000 --workers 4 --check-regression \
-    --out-dir "$out_dir/par_bench" >/dev/null
-"$mck" inspect "$out_dir/par_bench/BENCH_par.json" | grep -q "mck.bench_par/v1"
-
 # Failure injection must be a pure function of the seed: two runs of the
 # same seed produce byte-identical reports, crash times and all. The
 # flaky_commuters scenario exercises the Markov mobility + failure path.
@@ -333,5 +322,16 @@ if "$figures" sweep-bench --reps 1 \
 else
     echo "warning: sweep-bench smoke failed (non-gating)"
 fi
+
+# Parallel speedup gate: par-bench first asserts serial and parallel
+# artifacts are byte-identical at every N (aborting otherwise), then
+# enforces the 2x events/sec floor at N=10^4 with 4 workers. On hosts
+# without the cores to make 2x physically achievable the gate reports
+# and skips instead of failing; the byte-identity assertion always runs.
+echo "==> smoke: figures par-bench --check-regression (N=10^4, 4 workers)"
+mkdir -p "$out_dir/par_bench"
+"$figures" par-bench --n-list 1000,10000 --workers 4 --check-regression \
+    --out-dir "$out_dir/par_bench" >/dev/null
+"$mck" inspect "$out_dir/par_bench/BENCH_par.json" | grep -q "mck.bench_par/v1"
 
 echo "ci: all green"

@@ -1,6 +1,5 @@
-//! Cross-backend parity: the heap scheduler, the calendar-queue scheduler
-//! and the conservative parallel backend must produce *byte-identical*
-//! deterministic artifacts (`mck.run/v1`: config, outcome counters, metrics
+//! Cross-backend parity: the serial engine and the conservative parallel
+//! backend must produce *byte-identical* deterministic artifacts (`mck.run/v1`: config, outcome counters, metrics
 //! snapshot) for every parallel-compatible configuration.
 //!
 //! The configurations are generated property-style from a seeded RNG so the
@@ -11,7 +10,6 @@
 use mck::artifact::run_artifact;
 use mck::prelude::*;
 use pardes as par;
-use simkit::event::QueueBackend;
 use simkit::rng::SimRng;
 
 /// Serializes everything the simulator can observe about a run.
@@ -19,11 +17,8 @@ fn fingerprint(cfg: &SimConfig, r: &RunReport) -> String {
     run_artifact(cfg, r).to_pretty()
 }
 
-fn serial_with(cfg: &SimConfig, queue: QueueBackend) -> String {
-    let mut c = cfg.clone();
-    c.queue = queue;
-    let report = Simulation::run(c.clone());
-    fingerprint(cfg, &report)
+fn serial(cfg: &SimConfig) -> String {
+    fingerprint(cfg, &Simulation::run(cfg.clone()))
 }
 
 fn parallel_with(cfg: &SimConfig, workers: usize) -> String {
@@ -60,17 +55,11 @@ fn randomized_configs_agree_across_all_backends() {
             Simulation::parallel_compatible(&cfg),
             "case {case}: generator must stay inside the parallel gate"
         );
-        let heap = serial_with(&cfg, QueueBackend::Heap);
-        let calendar = serial_with(&cfg, QueueBackend::Calendar);
-        assert_eq!(
-            heap, calendar,
-            "case {case}: heap vs calendar diverged for {:?}",
-            cfg.protocol
-        );
+        let serial = serial(&cfg);
         let workers = 2 + case % 3;
         let parallel = parallel_with(&cfg, workers);
         assert_eq!(
-            heap, parallel,
+            serial, parallel,
             "case {case}: serial vs parallel({workers}) diverged for {:?} \
              (n_mhs={}, n_mss={}, t_switch={}, seed={})",
             cfg.protocol, cfg.n_mhs, cfg.n_mss, cfg.t_switch, cfg.seed
@@ -81,7 +70,7 @@ fn randomized_configs_agree_across_all_backends() {
 #[test]
 fn issue_sizes_and_seeds_are_byte_identical() {
     // The acceptance matrix: N in {10, 100, 1000} hosts, three seeds each,
-    // serial heap vs 4-worker parallel.
+    // serial vs 4-worker parallel.
     for &n in &[10usize, 100, 1000] {
         for seed in [1u64, 2, 3] {
             let cfg = SimConfig {
@@ -92,7 +81,7 @@ fn issue_sizes_and_seeds_are_byte_identical() {
                 seed,
                 ..Default::default()
             };
-            let serial = serial_with(&cfg, QueueBackend::Heap);
+            let serial = serial(&cfg);
             let parallel = parallel_with(&cfg, 4);
             assert_eq!(serial, parallel, "n={n} seed={seed} diverged");
         }
@@ -140,7 +129,7 @@ fn incompatible_configs_fall_back_to_serial() {
         ..Default::default()
     };
     assert!(!Simulation::parallel_compatible(&cfg));
-    let serial = serial_with(&cfg, QueueBackend::Heap);
+    let serial = serial(&cfg);
     let fallback = parallel_with(&cfg, 4);
     assert_eq!(serial, fallback);
 }

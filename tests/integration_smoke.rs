@@ -190,22 +190,27 @@ fn tp_contends_for_the_channel_more_than_index_protocols() {
     );
 }
 
+/// The run's event log is the tracer's bounded memory sink.
 #[test]
 fn event_log_records_checkpoints_and_mobility() {
-    let mut cfg = base_cfg(CicKind::Qbc);
-    cfg.log_capacity = 50_000;
-    let r = Simulation::run(cfg);
-    assert!(!r.log.is_empty());
-    // Every checkpoint produced one log line; the ring was big enough.
-    assert_eq!(r.log.with_tag("ckpt").count() as u64, r.n_tot());
+    let instr = Instrumentation {
+        tracer: simkit::trace::Tracer::disabled().with_memory(50_000),
+        ..Instrumentation::off()
+    };
+    let r = Simulation::run_with(base_cfg(CicKind::Qbc), instr);
+    let log = r.trace_events.as_ref().expect("memory sink attached");
+    assert_eq!(log.dropped(), 0, "the ring was big enough");
+    let count = |kind: &str| log.records().filter(|rec| rec.event.kind() == kind).count() as u64;
+    // Every checkpoint produced one record.
+    assert_eq!(count("checkpoint"), r.n_tot());
     assert_eq!(
-        r.log.with_tag("mobility").count() as u64,
+        count("handoff") + count("disconnect"),
         r.handoffs + r.disconnects
     );
     // Timestamps are non-decreasing.
-    let times: Vec<f64> = r.log.entries().map(|e| e.time.as_f64()).collect();
+    let times: Vec<f64> = log.records().map(|rec| rec.time.as_f64()).collect();
     assert!(times.windows(2).all(|w| w[0] <= w[1]));
     // Disabled by default.
     let silent = Simulation::run(base_cfg(CicKind::Qbc));
-    assert!(silent.log.is_empty());
+    assert!(silent.trace_events.is_none());
 }

@@ -1,10 +1,9 @@
-//! End-to-end determinism of the parallel sweep executor and the pluggable
-//! pending-event set: the same seeds must produce byte-identical results
-//! regardless of the worker count (`--jobs`) or the queue backend.
+//! End-to-end determinism of the parallel sweep executor: the same seeds
+//! must produce byte-identical results regardless of the worker count
+//! (`--jobs`).
 
 use mck::artifact::run_artifact;
 use mck::prelude::*;
-use simkit::event::QueueBackend;
 
 fn base_cfg() -> SimConfig {
     SimConfig {
@@ -38,56 +37,6 @@ fn jobs_one_and_many_produce_identical_reports() {
             "seed {} diverged between --jobs 1 and --jobs 4",
             s.seed
         );
-    }
-}
-
-#[test]
-fn queue_backends_produce_identical_reports_across_protocols() {
-    for kind in [CicKind::Tp, CicKind::Bcs, CicKind::Qbc, CicKind::Uncoordinated] {
-        let mut heap_cfg = base_cfg();
-        heap_cfg.protocol = ProtocolChoice::Cic(kind);
-        heap_cfg.queue = QueueBackend::Heap;
-        let mut cal_cfg = heap_cfg.clone();
-        cal_cfg.queue = QueueBackend::Calendar;
-        let a = Simulation::run(heap_cfg.clone());
-        let b = Simulation::run(cal_cfg.clone());
-        // Fingerprint against the same config (the artifact embeds the
-        // config; only the outcome may differ between backends).
-        assert_eq!(
-            fingerprint(&heap_cfg, &a),
-            fingerprint(&heap_cfg, &b),
-            "{} diverged between heap and calendar backends",
-            kind.name()
-        );
-    }
-}
-
-#[test]
-fn queue_backends_produce_byte_identical_traces() {
-    let dir = std::env::temp_dir();
-    let mut paths = Vec::new();
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        let mut cfg = base_cfg();
-        cfg.queue = backend;
-        let path = dir.join(format!("mck_determinism_{backend}.jsonl"));
-        let sink = simkit::trace::JsonlSink::create(&path).expect("create trace file");
-        let instr = Instrumentation {
-            tracer: simkit::trace::Tracer::disabled().with_jsonl(sink),
-            ..Instrumentation::off()
-        };
-        let report = Simulation::run_with(cfg, instr);
-        assert!(report.trace_emitted > 0, "trace must be non-empty");
-        paths.push(path);
-    }
-    let heap_bytes = std::fs::read(&paths[0]).expect("heap trace");
-    let cal_bytes = std::fs::read(&paths[1]).expect("calendar trace");
-    assert!(!heap_bytes.is_empty());
-    assert_eq!(
-        heap_bytes, cal_bytes,
-        "trace streams must be byte-identical across queue backends"
-    );
-    for p in paths {
-        std::fs::remove_file(p).ok();
     }
 }
 
