@@ -13,9 +13,10 @@
 //! | [`coordinated::PrakashSinghal`] | minimal-process | coordinated | n bits + requests |
 //! | [`coordinated::KooToueg`] | blocking minimal-process | coordinated | n bits + 2-phase requests |
 //!
-//! The first four implement the common [`protocol::Protocol`] trait (the
-//! paper's mobile-host event hooks); the coordinated baselines expose
-//! explicit control-message state machines in [`coordinated`].
+//! All seven implement the common [`protocol::Protocol`] trait (the
+//! paper's mobile-host event hooks). The coordinated baselines also use
+//! its round hooks: `initiate`, `on_control`, `is_blocked` and
+//! `round_complete`, whose defaults make them no-ops for the others.
 //!
 //! [`recovery`] builds the per-protocol recovery lines ("consistent global
 //! checkpoints on the fly"); their consistency is independently verified

@@ -12,11 +12,20 @@
 //! * the host moves to a new MSS ([`Protocol::on_relocate`]; only TP cares,
 //!   for its `LOC[]` vector).
 //!
+//! The coordinated baselines ([`crate::coordinated`]) use four more hooks,
+//! whose defaults suit every other protocol: a round starts at an initiator
+//! ([`Protocol::initiate`]), a control message arrives
+//! ([`Protocol::on_control`]), a blocking session holds back application
+//! sends ([`Protocol::is_blocked`]), and a host's part of a snapshot round
+//! is done ([`Protocol::round_complete`]). The simulator never starts a
+//! round or routes a control message in a communication-induced run.
+//!
 //! The contract mirrors the paper's pseudo-code exactly; the surrounding
 //! simulator supplies timing, routing and storage.
 
 use causality::trace::CkptKind;
 
+use crate::coordinated::{ControlMsg, CoordAction};
 use crate::piggyback::Piggyback;
 
 /// Which mobility event mandated a basic checkpoint.
@@ -124,6 +133,32 @@ pub trait Protocol: Send {
     /// be excluded; logical state (sequence numbers, vectors, phases) must
     /// all be included.
     fn state_sig(&self, out: &mut Vec<u64>);
+
+    /// This host initiates coordination round `round` (default: nothing to
+    /// do). Returns the checkpoint to take and the control messages to send.
+    fn initiate(&mut self, round: u64) -> CoordAction {
+        let _ = round;
+        CoordAction::default()
+    }
+
+    /// A control message from host `from` arrived (default: ignored).
+    fn on_control(&mut self, from: usize, msg: &ControlMsg) -> CoordAction {
+        let _ = (from, msg);
+        CoordAction::default()
+    }
+
+    /// True while the host must not send application messages (a blocking
+    /// coordination session is open; default: never).
+    fn is_blocked(&self) -> bool {
+        false
+    }
+
+    /// True once this host has finished its part of snapshot `round`
+    /// (default: never; only rounds that can complete are timed).
+    fn round_complete(&self, round: u64) -> bool {
+        let _ = round;
+        false
+    }
 }
 
 impl Clone for Box<dyn Protocol> {

@@ -23,11 +23,6 @@ impl Uncoordinated {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Checkpoints taken so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
 }
 
 impl Protocol for Uncoordinated {
@@ -79,7 +74,7 @@ mod tests {
             u.on_send(1);
             assert_eq!(u.on_receive(0, &Piggyback::None).forced, None);
         }
-        assert_eq!(u.count(), 0);
+        assert_eq!(u.current_index(), 0);
     }
 
     #[test]

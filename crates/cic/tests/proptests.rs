@@ -16,7 +16,6 @@
 
 use causality::cut::{is_consistent, max_consistent_cut_containing, Cut};
 use causality::trace::{CkptKind, MsgId, ProcId, Trace, TraceBuilder};
-use cic::coordinated::{ControlMsg, KooToueg};
 use cic::prelude::*;
 use cic::recovery::{all_index_lines, max_index};
 use simkit::prelude::SimRng;
@@ -347,8 +346,8 @@ fn koo_toueg_sessions_always_terminate() {
         for _ in 0..n_msgs {
             let from = gen.index(n);
             let to = (from + 1 + gen.index(n - 1)) % n;
-            let pb = procs[from].piggyback();
-            procs[to].on_app_message(from, &pb);
+            let pb = procs[from].on_send(to);
+            procs[to].on_receive(from, &pb);
         }
         // Initiate one session and pump its control messages to quiescence,
         // choosing the next delivery pseudo-randomly.
@@ -364,14 +363,7 @@ fn koo_toueg_sessions_always_terminate() {
             assert!(steps < 10_000, "session did not quiesce");
             let idx = gen.index(pending.len());
             let (from, to, msg) = pending.swap_remove(idx);
-            let action = match msg {
-                ControlMsg::KtRequest { round } => procs[to].on_request(from, round),
-                ControlMsg::KtAck { round, ref participants } => {
-                    procs[to].on_ack(from, round, participants)
-                }
-                ControlMsg::KtCommit { round } => procs[to].on_commit(round),
-                other => panic!("unexpected message {other:?}"),
-            };
+            let action = procs[to].on_control(from, &msg);
             ckpts += u64::from(action.checkpoint.is_some());
             for (dest, m) in action.send {
                 pending.push((to, dest, m));
@@ -382,7 +374,7 @@ fn koo_toueg_sessions_always_terminate() {
             assert!(!p.is_blocked(), "process {i} still blocked");
         }
         // Each participant checkpointed exactly once this session.
-        let participated = procs.iter().filter(|p| p.count() > 0).count() as u64;
+        let participated = procs.iter().filter(|p| p.current_index() > 0).count() as u64;
         assert_eq!(ckpts, participated);
         assert!(ckpts >= 1, "at least the initiator checkpoints");
     }

@@ -69,12 +69,6 @@ impl Args {
         self.positionals.get(i).map(String::as_str)
     }
 
-    /// Number of positional arguments.
-    #[allow(dead_code)] // exercised by tests; kept for CLI extensions
-    pub fn n_positionals(&self) -> usize {
-        self.positionals.len()
-    }
-
     /// Raw string option.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
@@ -151,7 +145,7 @@ mod tests {
         assert_eq!(a.positional(1), Some("2"));
         assert_eq!(a.get_usize("reps", 1).unwrap(), 5);
         assert!(a.flag("csv"));
-        assert_eq!(a.n_positionals(), 2);
+        assert_eq!(a.positional(2), None);
     }
 
     #[test]

@@ -1,25 +1,12 @@
 //! `mck` — command-line front end for the mobile-checkpointing simulator.
 //!
-//! ```text
-//! mck run   [--protocol QBC] [--t-switch 1000] [--p-switch 1.0] [--h 0]
-//!           [--horizon 10000] [--seed 1] [--ps 0.4] [--dup 0]
-//! mck sweep [--protocol QBC] [--t-switch-list 100,...,10000] [--p-switch ..]
-//!           [--h ..] [--reps 5] [--seed 1] [--csv]
-//! mck fig <1..6> [--reps 5] [--seed 1] [--csv]
-//! mck claims [--reps 5] [--seed 1]
-//! mck classes [--reps 3] [--seed 1]
-//! mck rollback [--reps 2] [--seed 1] [--logging off|pessimistic|optimistic] [--out-dir DIR]
-//! mck storage [--reps 3] [--seed 1]
-//! mck recovery-time [--reps 2] [--seed 1]
-//! mck crash [--reps 2] [--seed 1] [--t-switch-list 500,2000] [--out-dir DIR]
-//! mck topologies [--reps 3] [--seed 1]
-//! mck list
-//! ```
-//!
-//! `run`, `sweep`, and `fig` additionally take `--scenario FILE`: a
-//! `mck.scenario/v1` JSON file (see `scenarios/`) that swaps the cell
-//! topology, mobility model, and traffic model and may override scalar
-//! parameters. Explicit flags still win over the scenario.
+//! `mck <command> [flags]`; [`usage`] lists every command with the flags it
+//! reads, and [`command`] holds those lists. `run`, `profile`, `sweep`, and
+//! `fig` also take `--scenario FILE`: a `mck.scenario/v1` JSON file (see
+//! `scenarios/`) that swaps the cell topology, mobility model, and traffic
+//! model and may override scalar parameters. Explicit flags still win over
+//! the scenario. Every command takes `--jobs N` and rejects any other flag
+//! it does not read.
 
 mod args;
 
@@ -42,73 +29,106 @@ fn main() {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  mck run     [--protocol P] [--mh N] [--mss M] [--t-switch T] [--p-switch P] [--h H] [--horizon T] [--seed S] [--ps P] [--dup P]\n              [--logging off|pessimistic|optimistic] [--flush-latency T]\n              [--fail-mtbf T] [--fail-mss-mtbf T]\n              [--trace trace.jsonl] [--metrics artifact.json] [--profile] [--progress]\n  mck profile [run flags] [--out PROFILE.json] [--folded out.folded] [--prom out.prom]\n  mck sweep   [--protocol P] [--mh N] [--mss M] [--t-switch-list a,b,c] [--p-switch P] [--h H] [--reps R] [--seed S] [--csv] [--out-dir DIR]\n  mck fig N   [--reps R] [--seed S] [--csv] [--out-dir DIR]      (N in 1..6, or 'all')\n  mck claims  [--reps R] [--seed S]\n  mck classes [--reps R] [--seed S]\n  mck rollback [--reps R] [--seed S] [--logging off|pessimistic|optimistic] [--out-dir DIR]\n  mck crash   [--reps R] [--seed S] [--t-switch-list a,b,c] [--out-dir DIR]\n  mck check   [--protocol P] [--mh N] [--mss M] [--horizon T] [--t-switch T] [--seed S]\n              [--max-states K] [--mutate] [--out MC.json] | --replay MC.json\n  mck inspect <artifact.json|scenario.json|cache-dir> [--deterministic]\n  mck serve   [--addr HOST] [--port N] [--cache-dir DIR] [--max-entries N] [--queue-depth N] [--max-requests N]\n  mck list\nglobal: --jobs N (worker threads; default MCK_JOBS or all cores)\n        --cache-dir DIR (run/fig: content-addressed result cache; warm\n                         requests replay stored artifact bytes verbatim)\n        --par-workers N (run/profile: N conservative cell-partitioned workers;\n                         results are identical to the serial run)\n        --pb-codec dense|rle (TP vector piggyback wire codec; trajectory is identical)\n        --scenario FILE (mck.scenario/v1 environment + parameter overrides;\n                         explicit flags still win; run/sweep/fig)\nprotocols: TP, BCS, QBC, UNCOORD"
+    "usage:\n  mck run     [--protocol P] [--mh N] [--mss M] [--t-switch T] [--p-switch P] [--h H] [--horizon T] [--seed S] [--ps P] [--dup P]\n              [--logging off|pessimistic|optimistic] [--flush-latency T]\n              [--fail-mtbf T] [--fail-mss-mtbf T]\n              [--trace trace.jsonl] [--metrics artifact.json] [--profile] [--progress]\n  mck profile [run flags] [--out PROFILE.json] [--folded out.folded] [--prom out.prom]\n  mck sweep   [--protocol P] [--mh N] [--mss M] [--t-switch-list a,b,c] [--p-switch P] [--h H] [--reps R] [--seed S] [--csv] [--out-dir DIR]\n  mck fig N   [--reps R] [--seed S] [--csv] [--out-dir DIR]      (N in 1..6, or 'all')\n  mck claims  [--reps R] [--seed S]\n  mck classes|storage|recovery-time|topologies|contention [--reps R] [--seed S] [--csv]\n  mck rollback [--reps R] [--seed S] [--csv] [--logging off|pessimistic|optimistic] [--out-dir DIR]\n  mck crash   [--reps R] [--seed S] [--csv] [--t-switch-list a,b,c] [--out-dir DIR]\n  mck check   [--protocol P] [--mh N] [--mss M] [--horizon T] [--t-switch T] [--seed S]\n              [--max-states K] [--mutate] [--out MC.json] | --replay MC.json\n  mck inspect <artifact.json|scenario.json|cache-dir> [--deterministic]\n  mck serve   [--addr HOST] [--port N] [--cache-dir DIR] [--max-entries N] [--queue-depth N] [--max-requests N]\n  mck list\nevery command: --jobs N (worker threads; default MCK_JOBS or all cores)\nrun/fig: --cache-dir DIR (content-addressed result cache; warm requests replay\n                          stored artifact bytes verbatim)\nrun/profile: --par-workers N (N conservative cell-partitioned workers; results\n                              are identical to the serial run)\nrun/profile/sweep: --pb-codec dense|rle (TP vector piggyback wire codec; trajectory is identical)\nrun/profile/sweep/fig: --scenario FILE (mck.scenario/v1 environment + parameter overrides;\n                                        explicit flags still win)\na command rejects every flag it does not read\nprotocols: TP, BCS, QBC, UNCOORD"
 }
 
-const KNOWN: &[&str] = &[
+/// Flags that take no value.
+const BOOLEAN: &[&str] = &["csv", "profile", "progress", "deterministic", "mutate"];
+
+/// The run-configuration flags [`config_of`] reads, except `--t-switch`,
+/// which `sweep` replaces with `--t-switch-list`.
+const CONFIG: &[&str] = &[
+    "scenario",
     "protocol",
-    "t-switch",
-    "t-switch-list",
+    "pb-codec",
+    "logging",
+    "mh",
+    "mss",
     "p-switch",
     "h",
     "horizon",
     "seed",
-    "reps",
     "ps",
     "dup",
-    "trace",
-    "metrics",
-    "logging",
     "flush-latency",
     "fail-mtbf",
     "fail-mss-mtbf",
-    "out-dir",
-    "out",
-    "folded",
-    "prom",
-    "jobs",
-    "par-workers",
-    "pb-codec",
-    "scenario",
-    "cache-dir",
-    "addr",
-    "port",
-    "max-entries",
-    "queue-depth",
-    "max-requests",
-    "mh",
-    "mss",
-    "max-states",
-    "replay",
 ];
-const BOOLEAN: &[&str] = &["csv", "profile", "progress", "deterministic", "mutate"];
+
+type Handler = fn(&Args) -> Result<String, ArgError>;
+
+/// A command's handler and every flag it reads, the global `--jobs`
+/// included; `None` for an unknown command. The lists are exact: a flag a
+/// command does not read is rejected instead of silently ignored.
+fn command(name: &str) -> Option<(Handler, Vec<&'static str>)> {
+    let (handler, config, own): (Handler, bool, &[&str]) = match name {
+        "run" => (
+            cmd_run,
+            true,
+            &["t-switch", "trace", "metrics", "profile", "progress", "par-workers", "cache-dir"],
+        ),
+        "profile" => (
+            cmd_profile,
+            true,
+            &["t-switch", "out", "folded", "prom", "progress", "par-workers"],
+        ),
+        "sweep" => (cmd_sweep, true, &["t-switch-list", "reps", "csv", "out-dir"]),
+        "fig" => (cmd_fig, false, &["reps", "seed", "csv", "out-dir", "cache-dir", "scenario"]),
+        "claims" => (cmd_claims, false, &["reps", "seed"]),
+        "classes" => (cmd_classes, false, &["reps", "seed", "csv"]),
+        "rollback" => (cmd_rollback, false, &["reps", "seed", "csv", "logging", "out-dir"]),
+        "storage" => (cmd_storage, false, &["reps", "seed", "csv"]),
+        "recovery-time" => (cmd_recovery_time, false, &["reps", "seed", "csv"]),
+        "crash" => (cmd_crash, false, &["reps", "seed", "csv", "t-switch-list", "out-dir"]),
+        "topologies" => (cmd_topologies, false, &["reps", "seed", "csv"]),
+        "contention" => (cmd_contention, false, &["reps", "seed", "csv"]),
+        "check" => (
+            cmd_check,
+            false,
+            &[
+                "protocol", "mh", "mss", "horizon", "t-switch", "seed", "max-states", "mutate",
+                "out", "replay",
+            ],
+        ),
+        "inspect" => (cmd_inspect, false, &["deterministic"]),
+        "serve" => (
+            cmd_serve,
+            false,
+            &["addr", "port", "cache-dir", "max-entries", "queue-depth", "max-requests"],
+        ),
+        "list" => (|_| Ok(cmd_list()), false, &[]),
+        _ => return None,
+    };
+    let mut flags = if config { CONFIG.to_vec() } else { Vec::new() };
+    flags.extend_from_slice(own);
+    flags.push("jobs");
+    Some((handler, flags))
+}
+
+/// Parses a command line (the command comes first), rejecting any flag
+/// the command does not read with an error that names both.
+fn parse(raw: &[String]) -> Result<(Handler, Args), ArgError> {
+    let name = raw.first().ok_or_else(|| ArgError("no command given".into()))?;
+    let (handler, reads) =
+        command(name).ok_or_else(|| ArgError(format!("unknown command '{name}'")))?;
+    let keys = raw.iter().filter_map(|a| a.strip_prefix("--"));
+    let mut keys = keys.map(|k| k.split_once('=').map_or(k, |(k, _)| k));
+    if let Some(key) = keys.find(|k| !reads.contains(k)) {
+        return Err(ArgError(format!(
+            "{name} does not read --{key} (it reads --{})",
+            reads.join(", --")
+        )));
+    }
+    Ok((handler, Args::parse(raw, &reads, BOOLEAN)?))
+}
 
 /// Routes a raw command line to a handler, returning its printable output.
 fn dispatch(raw: &[String]) -> Result<String, ArgError> {
-    let args = Args::parse(raw, KNOWN, BOOLEAN)?;
+    let (handler, args) = parse(raw)?;
     // --jobs applies to every experiment command; 0 (the default) keeps the
     // MCK_JOBS / available-parallelism resolution.
     set_jobs(args.get_usize("jobs", 0)?);
-    match args.positional(0) {
-        Some("run") => cmd_run(&args),
-        Some("profile") => cmd_profile(&args),
-        Some("sweep") => cmd_sweep(&args),
-        Some("fig") => cmd_fig(&args),
-        Some("claims") => cmd_claims(&args),
-        Some("classes") => cmd_classes(&args),
-        Some("rollback") => cmd_rollback(&args),
-        Some("storage") => cmd_storage(&args),
-        Some("recovery-time") => cmd_recovery_time(&args),
-        Some("crash") => cmd_crash(&args),
-        Some("topologies") => cmd_topologies(&args),
-        Some("contention") => cmd_contention(&args),
-        Some("check") => cmd_check(&args),
-        Some("inspect") => cmd_inspect(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("list") => Ok(cmd_list()),
-        Some(other) => Err(ArgError(format!("unknown command '{other}'"))),
-        None => Err(ArgError("no command given".into())),
-    }
+    handler(&args)
 }
 
 fn protocol_of(args: &Args) -> Result<ProtocolChoice, ArgError> {
@@ -458,14 +478,6 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
-    // The grid already parallelizes across replications via the job pool.
-    if args.flag("par-workers") {
-        return Err(ArgError(
-            "--par-workers applies to 'run' and 'profile' only; \
-             'sweep' already parallelizes across replications (--jobs N)"
-                .into(),
-        ));
-    }
     let reps = args.get_usize("reps", 3)?;
     let seed = args.get_u64("seed", 1)?;
     let ts = args.get_f64_list("t-switch-list", &T_SWITCH_SWEEP)?;
@@ -501,52 +513,9 @@ fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// Accepted flags that `fig` does not read: a figure fixes its own
-/// protocols, parameter grid and world, so each of these would be silently
-/// ignored. Everything else `fig` takes is `--reps`, `--seed`, `--csv`,
-/// `--out-dir`, `--cache-dir`, `--scenario` and the global `--jobs`.
-const FIG_IGNORES: &[&str] = &[
-    "protocol",
-    "t-switch",
-    "t-switch-list",
-    "p-switch",
-    "h",
-    "horizon",
-    "ps",
-    "dup",
-    "trace",
-    "metrics",
-    "logging",
-    "flush-latency",
-    "fail-mtbf",
-    "fail-mss-mtbf",
-    "out",
-    "folded",
-    "prom",
-    "par-workers",
-    "pb-codec",
-    "addr",
-    "port",
-    "max-entries",
-    "queue-depth",
-    "max-requests",
-    "mh",
-    "mss",
-    "max-states",
-    "replay",
-    "profile",
-    "progress",
-    "deterministic",
-    "mutate",
-];
-
+/// A figure fixes its own protocols, parameter grid and world; only a
+/// `--scenario` file changes them.
 fn cmd_fig(args: &Args) -> Result<String, ArgError> {
-    if let Some(flag) = FIG_IGNORES.iter().find(|f| args.flag(f)) {
-        return Err(ArgError(format!(
-            "fig does not read --{flag}: it runs the paper's figure grid; \
-             change its world or parameters with --scenario FILE"
-        )));
-    }
     let reps = args.get_usize("reps", 5)?;
     let seed = args.get_u64("seed", 1)?;
     let which = args
@@ -756,6 +725,9 @@ fn cmd_rollback(args: &Args) -> Result<String, ArgError> {
     let seed = args.get_u64("seed", 1)?;
     if logging_of(args)?.is_enabled() {
         return cmd_rollback_logging(args, seed, reps);
+    }
+    if args.get("out-dir").is_some() {
+        return Err(ArgError("rollback reads --out-dir only with --logging".into()));
     }
     let rows = experiments::ext_rollback(seed, reps);
     let mut table = Table::new(vec![
@@ -1044,6 +1016,11 @@ fn cmd_replay(path: &str) -> Result<String, ArgError> {
 
 fn cmd_check(args: &Args) -> Result<String, ArgError> {
     if let Some(path) = args.get("replay") {
+        // The artifact's params rebuild the world; nothing else applies.
+        let world = ["protocol", "mh", "mss", "horizon", "t-switch", "seed", "max-states"];
+        if let Some(flag) = world.iter().chain(&["mutate", "out"]).find(|f| args.flag(f)) {
+            return Err(ArgError(format!("check --replay does not read --{flag}")));
+        }
         return cmd_replay(path);
     }
     let cfg = check_config_of(args)?;
@@ -1232,6 +1209,9 @@ mod tests {
         assert!(dispatch(&raw(&["run", "--fail-mtbf", "-5"])).is_err());
         // MSS crashes need a message log to recover from.
         assert!(dispatch(&raw(&["run", "--fail-mss-mtbf", "500"])).is_err());
+        // Flags a mode of a command does not read.
+        assert!(dispatch(&raw(&["check", "--replay", "MC.json", "--mh", "3"])).is_err());
+        assert!(dispatch(&raw(&["rollback", "--out-dir", "/nonexistent"])).is_err());
     }
 
     #[test]
@@ -1509,7 +1489,7 @@ mod tests {
         let base = raw(&["run", "--horizon", "100"]);
         let mut sized = base.clone();
         sized.extend(raw(&["--mh", "500", "--mss", "20"]));
-        let cfg = config_of(&Args::parse(&sized, KNOWN, BOOLEAN).unwrap()).unwrap();
+        let cfg = config_of(&parse(&sized).unwrap().1).unwrap();
         assert_eq!((cfg.n_mhs, cfg.n_mss), (500, 20));
         assert_ne!(dispatch(&base).unwrap(), dispatch(&sized).unwrap());
         assert!(dispatch(&raw(&["run", "--mh", "1"])).is_err());
@@ -1548,23 +1528,36 @@ mod tests {
     }
 
     #[test]
-    fn fig_ignore_list_covers_every_unread_flag() {
-        let read = [
-            "reps",
-            "seed",
-            "csv",
-            "out-dir",
-            "cache-dir",
-            "scenario",
-            "jobs",
+    fn every_command_rejects_the_flags_it_does_not_read() {
+        let names = [
+            "run", "profile", "sweep", "fig", "claims", "classes", "rollback", "storage",
+            "recovery-time", "crash", "topologies", "contention", "check", "inspect", "serve",
+            "list",
         ];
-        for flag in KNOWN.iter().chain(BOOLEAN) {
-            assert_ne!(
-                read.contains(flag),
-                FIG_IGNORES.contains(flag),
-                "--{flag} must be either read or rejected by fig"
-            );
+        let mut every: Vec<&str> = names.iter().flat_map(|n| command(n).unwrap().1).collect();
+        every.extend(["queue", "nope"]);
+        for name in names {
+            let reads = command(name).unwrap().1;
+            assert!(reads.contains(&"jobs"), "{name}");
+            for flag in &every {
+                let mut line = raw(&[name, &format!("--{flag}")]);
+                if !BOOLEAN.contains(flag) {
+                    line.push("1".into());
+                }
+                match parse(&line) {
+                    Ok((_, args)) => {
+                        assert!(reads.contains(flag), "{name} accepted --{flag}");
+                        assert!(args.flag(flag));
+                    }
+                    Err(e) => {
+                        assert!(!reads.contains(flag), "{name} rejected --{flag}: {e}");
+                        let (cmd, f) = (format!("{name} does not"), format!("--{flag} "));
+                        assert!(e.0.contains(&cmd) && e.0.contains(&f), "{e}");
+                    }
+                }
+            }
         }
+        assert!(command("frobnicate").is_none());
     }
 
     #[test]
@@ -1611,9 +1604,7 @@ mod tests {
         with_metrics.extend(raw(&["--metrics", copy.to_str().unwrap()]));
         dispatch(&with_metrics).unwrap();
         let written = std::fs::read_to_string(&copy).unwrap();
-        let key = servekit::key::run_key(
-            &config_of(&Args::parse(&base, KNOWN, BOOLEAN).unwrap()).unwrap(),
-        );
+        let key = servekit::key::run_key(&config_of(&parse(&base).unwrap().1).unwrap());
         let stored = std::fs::read_to_string(objects.join(format!("{key}.json"))).unwrap();
         assert_eq!(written, stored);
 

@@ -17,7 +17,9 @@
 //!   permanence time `T_switch / 10`;
 //! * hand-off = 2 control messages, disconnection = 1.
 
+use cic::coordinated::{ChandyLamport, KooToueg, PrakashSinghal};
 use cic::piggyback::PbCodec;
+use cic::protocol::Protocol;
 use cic::CicKind;
 use mobnet::{IncrementalModel, Latencies};
 use scenario::{EnvParams, EnvSpec, Scenario, ScenarioError};
@@ -142,6 +144,20 @@ pub enum ProtocolChoice {
 }
 
 impl ProtocolChoice {
+    /// Every protocol, in the class comparison's row order; the coordinated
+    /// ones run a round every `interval`.
+    pub const fn all(interval: f64) -> [ProtocolChoice; 7] {
+        [
+            ProtocolChoice::Cic(CicKind::Qbc),
+            ProtocolChoice::Cic(CicKind::Bcs),
+            ProtocolChoice::Cic(CicKind::Tp),
+            ProtocolChoice::Cic(CicKind::Uncoordinated),
+            ProtocolChoice::ChandyLamport { interval },
+            ProtocolChoice::PrakashSinghal { interval },
+            ProtocolChoice::KooToueg { interval },
+        ]
+    }
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -149,6 +165,28 @@ impl ProtocolChoice {
             ProtocolChoice::ChandyLamport { .. } => "CL",
             ProtocolChoice::PrakashSinghal { .. } => "PS",
             ProtocolChoice::KooToueg { .. } => "KT",
+        }
+    }
+
+    /// The protocol instance for host `me` of `n`, initially at MSS `mss`;
+    /// `codec` selects TP's vector wire codec and is ignored by the others.
+    pub fn instantiate(self, me: usize, n: usize, mss: u32, codec: PbCodec) -> Box<dyn Protocol> {
+        match self {
+            ProtocolChoice::Cic(kind) => kind.instantiate_with(me, n, mss, codec),
+            ProtocolChoice::ChandyLamport { .. } => Box::new(ChandyLamport::new(me, n)),
+            ProtocolChoice::PrakashSinghal { .. } => Box::new(PrakashSinghal::new(me, n)),
+            ProtocolChoice::KooToueg { .. } => Box::new(KooToueg::new(me, n)),
+        }
+    }
+
+    /// Time between coordination rounds, or `None` for the protocols that
+    /// run no rounds.
+    pub fn interval(self) -> Option<f64> {
+        match self {
+            ProtocolChoice::Cic(_) => None,
+            ProtocolChoice::ChandyLamport { interval }
+            | ProtocolChoice::PrakashSinghal { interval }
+            | ProtocolChoice::KooToueg { interval } => Some(interval),
         }
     }
 }

@@ -1,9 +1,11 @@
 //! Driving the coordinated baselines through the mobile network.
 //!
-//! The coordinated protocols ([`cic::coordinated`]) are pure state machines;
-//! this module gives them time, location lookups, wireless/wired latencies
-//! and disconnection handling:
+//! The coordinated protocols ([`cic::coordinated`]) are host-local
+//! [`cic::protocol::Protocol`] state machines like every other; this module
+//! gives their rounds time, location lookups, wireless/wired latencies and
+//! disconnection handling, without knowing which protocol runs:
 //!
+//! * a round timer starts each round at a rotating initiator;
 //! * every control message must first **locate** its mobile destination
 //!   (one directory search — the cost the paper holds against coordinated
 //!   protocols in mobile settings);
@@ -11,139 +13,42 @@
 //!   delivered at reconnection — which is exactly why "connections and
 //!   disconnections may significantly increase the completion time of the
 //!   construction of a consistent global checkpoint". The measured
-//!   round-completion latencies quantify that;
+//!   round-completion latencies of snapshot rounds quantify that;
 //! * every marker/request is charged to the wireless channel and the energy
 //!   ledger like any other message.
 
 use std::collections::HashMap;
 
-use cic::coordinated::{ChandyLamport, ControlMsg, CoordAction, KooToueg, PrakashSinghal};
-use cic::piggyback::Piggyback;
-use mobnet::{MhId, PacketId};
+use causality::trace::CkptKind;
+use cic::coordinated::{ControlMsg, CoordAction};
+use mobnet::MhId;
 use simkit::prelude::*;
 
-use crate::config::{ProtocolChoice, SimConfig};
+use crate::config::SimConfig;
 use crate::simulation::{Ev, Simulation, CONTROL_BYTES};
 
-/// Coordinated-protocol state for a run (or `None` for CIC runs).
-#[derive(Clone)]
-pub(crate) enum CoordDriver {
-    /// No coordination (communication-induced or uncoordinated run).
-    Idle,
-    /// Chandy–Lamport snapshots.
-    Cl {
-        procs: Vec<ChandyLamport>,
-        interval: f64,
-        round: u64,
-        /// Start time per round, for completion-latency measurement.
-        started: HashMap<u64, f64>,
-        /// Completed-round latencies.
-        latencies: Vec<f64>,
-        /// Control messages buffered for disconnected hosts.
-        buffered: Vec<Vec<(MhId, ControlMsg)>>,
-    },
-    /// Prakash–Singhal minimal coordination.
-    Ps {
-        procs: Vec<PrakashSinghal>,
-        interval: f64,
-        round: u64,
-        buffered: Vec<Vec<(MhId, ControlMsg)>>,
-    },
-    /// Koo–Toueg blocking minimal coordination.
-    Kt {
-        procs: Vec<KooToueg>,
-        interval: f64,
-        round: u64,
-        buffered: Vec<Vec<(MhId, ControlMsg)>>,
-    },
+/// Round bookkeeping of a run. It stays empty, and allocates nothing, in
+/// runs without coordination rounds.
+#[derive(Clone, Default)]
+pub(crate) struct Rounds {
+    /// Rounds started so far (the latest round's number).
+    round: u64,
+    /// Start time per round not yet seen complete, for the
+    /// completion-latency measurement.
+    started: HashMap<u64, f64>,
+    /// Completed-round latencies, in completion order.
+    pub(crate) latencies: Vec<f64>,
+    /// Control messages buffered per disconnected host: one list per host
+    /// in coordinated runs, none otherwise.
+    buffered: Vec<Vec<(MhId, ControlMsg)>>,
 }
 
-impl CoordDriver {
-    /// Builds the driver implied by the configuration.
+impl Rounds {
     pub(crate) fn new(cfg: &SimConfig) -> Self {
-        let n = cfg.n_mhs;
-        match cfg.protocol {
-            ProtocolChoice::Cic(_) => CoordDriver::Idle,
-            ProtocolChoice::ChandyLamport { interval } => CoordDriver::Cl {
-                procs: (0..n).map(|i| ChandyLamport::new(i, n)).collect(),
-                interval,
-                round: 0,
-                started: HashMap::new(),
-                latencies: Vec::new(),
-                buffered: vec![Vec::new(); n],
-            },
-            ProtocolChoice::PrakashSinghal { interval } => CoordDriver::Ps {
-                procs: (0..n).map(|i| PrakashSinghal::new(i, n)).collect(),
-                interval,
-                round: 0,
-                buffered: vec![Vec::new(); n],
-            },
-            ProtocolChoice::KooToueg { interval } => CoordDriver::Kt {
-                procs: (0..n).map(|i| KooToueg::new(i, n)).collect(),
-                interval,
-                round: 0,
-                buffered: vec![Vec::new(); n],
-            },
-        }
-    }
-
-    /// Round interval, when coordination is active.
-    pub(crate) fn interval(&self) -> Option<f64> {
-        match self {
-            CoordDriver::Idle => None,
-            CoordDriver::Cl { interval, .. }
-            | CoordDriver::Ps { interval, .. }
-            | CoordDriver::Kt { interval, .. } => Some(*interval),
-        }
-    }
-
-    /// True when `mh` must not send application messages (blocking
-    /// coordination session in progress).
-    pub(crate) fn is_blocked(&self, mh: MhId) -> bool {
-        match self {
-            CoordDriver::Kt { procs, .. } => procs[mh.idx()].is_blocked(),
-            _ => false,
-        }
-    }
-
-    /// PS dependency-set piggyback for an outgoing app message of `mh`.
-    pub(crate) fn ps_piggyback(&self, mh: MhId) -> Piggyback {
-        match self {
-            CoordDriver::Ps { procs, .. } => Piggyback::DepSet {
-                deps: procs[mh.idx()].piggyback(),
-            },
-            CoordDriver::Kt { procs, .. } => Piggyback::DepSet {
-                deps: procs[mh.idx()].piggyback(),
-            },
-            _ => Piggyback::None,
-        }
-    }
-
-    /// Feeds a delivered application message to the coordination layer.
-    pub(crate) fn on_app_message(&mut self, to: MhId, from: MhId, pkt: PacketId, pb: &Piggyback) {
-        match self {
-            CoordDriver::Idle => {}
-            CoordDriver::Cl { procs, .. } => procs[to.idx()].on_app_message(from.idx(), pkt.0),
-            CoordDriver::Ps { procs, .. } => {
-                let Piggyback::DepSet { deps } = pb else {
-                    panic!("PS runs must piggyback DepSet on app messages");
-                };
-                procs[to.idx()].on_app_message(from.idx(), deps);
-            }
-            CoordDriver::Kt { procs, .. } => {
-                let Piggyback::DepSet { deps } = pb else {
-                    panic!("KT runs must piggyback DepSet on app messages");
-                };
-                procs[to.idx()].on_app_message(from.idx(), deps);
-            }
-        }
-    }
-
-    /// Completed Chandy–Lamport round latencies (empty for other drivers).
-    pub(crate) fn round_latencies(&self) -> &[f64] {
-        match self {
-            CoordDriver::Cl { latencies, .. } => latencies,
-            _ => &[],
+        let hosts = if cfg.protocol.interval().is_some() { cfg.n_mhs } else { 0 };
+        Rounds {
+            buffered: vec![Vec::new(); hosts],
+            ..Rounds::default()
         }
     }
 }
@@ -152,71 +57,21 @@ impl Simulation {
     /// Starts a coordination round at a connected initiator (rotating).
     pub(crate) fn on_coord_round(&mut self, sched: &mut Scheduler<Ev>, now: SimTime) {
         let n = self.config().n_mhs;
-        let mut driver = std::mem::replace(&mut self.coord, CoordDriver::Idle);
-        match &mut driver {
-            CoordDriver::Idle => {}
-            CoordDriver::Cl {
-                procs,
-                interval,
-                round,
-                started,
-                ..
-            } => {
-                *round += 1;
-                let r = *round;
-                // Rotate to the next connected initiator; skip the round if
-                // everyone is offline.
-                let start = self.coord_rng.index(n);
-                if let Some(init) =
-                    (0..n).map(|k| MhId((start + k) % n)).find(|&m| self.is_connected(m))
-                {
-                    started.insert(r, now.as_f64());
-                    let action = procs[init.idx()].initiate(r);
-                    self.apply_coord_action(sched, now, init, action);
-                }
-                let iv = *interval;
-                sched.schedule_in(iv, Ev::CoordRound);
-            }
-            CoordDriver::Ps {
-                procs,
-                interval,
-                round,
-                ..
-            } => {
-                *round += 1;
-                let r = *round;
-                let start = self.coord_rng.index(n);
-                if let Some(init) =
-                    (0..n).map(|k| MhId((start + k) % n)).find(|&m| self.is_connected(m))
-                {
-                    let action = procs[init.idx()].initiate(r);
-                    self.apply_coord_action(sched, now, init, action);
-                }
-                let iv = *interval;
-                sched.schedule_in(iv, Ev::CoordRound);
-            }
-            CoordDriver::Kt {
-                procs,
-                interval,
-                round,
-                ..
-            } => {
-                *round += 1;
-                let r = *round;
-                let start = self.coord_rng.index(n);
-                // Skip hosts already blocked by an unfinished session.
-                if let Some(init) = (0..n)
-                    .map(|k| MhId((start + k) % n))
-                    .find(|&m| self.is_connected(m) && !procs[m.idx()].is_blocked())
-                {
-                    let action = procs[init.idx()].initiate(r);
-                    self.apply_coord_action(sched, now, init, action);
-                }
-                let iv = *interval;
-                sched.schedule_in(iv, Ev::CoordRound);
-            }
+        self.rounds.round += 1;
+        let round = self.rounds.round;
+        // Rotate to the next connected initiator that no unfinished blocking
+        // session holds; skip the round if there is none.
+        let start = self.coord_rng.index(n);
+        if let Some(init) = (0..n)
+            .map(|k| MhId((start + k) % n))
+            .find(|&m| self.is_connected(m) && !self.protos[m.idx()].is_blocked())
+        {
+            self.rounds.started.insert(round, now.as_f64());
+            let action = self.protos[init.idx()].initiate(round);
+            self.apply_coord_action(sched, now, init, action);
         }
-        self.coord = driver;
+        let interval = self.config().protocol.interval();
+        sched.schedule_in(interval.expect("rounds run only with an interval"), Ev::CoordRound);
     }
 
     /// Delivers a control message at `to` (or buffers it while offline).
@@ -229,63 +84,25 @@ impl Simulation {
         msg: ControlMsg,
     ) {
         if !self.is_connected(to) {
-            let mut driver = std::mem::replace(&mut self.coord, CoordDriver::Idle);
-            match &mut driver {
-                CoordDriver::Cl { buffered, .. }
-                | CoordDriver::Ps { buffered, .. }
-                | CoordDriver::Kt { buffered, .. } => {
-                    buffered[to.idx()].push((from, msg));
-                }
-                CoordDriver::Idle => {}
-            }
-            self.coord = driver;
+            self.rounds.buffered[to.idx()].push((from, msg));
             return;
         }
         // Downlink delivery of the control message.
         self.metrics.charge_wireless(to, CONTROL_BYTES);
-        let mut driver = std::mem::replace(&mut self.coord, CoordDriver::Idle);
-        let action = match &mut driver {
-            CoordDriver::Idle => CoordAction::default(),
-            CoordDriver::Cl {
-                procs,
-                started,
-                latencies,
-                ..
-            } => {
-                let ControlMsg::Marker { round } = msg else {
-                    panic!("CL runs route only markers");
-                };
-                let action = procs[to.idx()].on_marker(from.idx(), round);
-                // Round completion check: all processes done? Guarded so the
-                // O(n) scan runs only when it could matter — the receiving
-                // process is part of `all`, so an incomplete receiver decides
-                // the conjunction by itself, and once the round's latency is
-                // recorded (`started` entry consumed) the scan is moot.
-                if procs[to.idx()].round_complete(round)
-                    && started.contains_key(&round)
-                    && procs.iter().all(|p| p.round_complete(round))
-                {
-                    let t0 = started.remove(&round).expect("guard checked the key");
-                    latencies.push(now.as_f64() - t0);
-                }
-                action
-            }
-            CoordDriver::Ps { procs, .. } => {
-                let ControlMsg::CkptRequest { round } = msg else {
-                    panic!("PS runs route only checkpoint requests");
-                };
-                procs[to.idx()].on_request(round)
-            }
-            CoordDriver::Kt { procs, .. } => match msg {
-                ControlMsg::KtRequest { round } => procs[to.idx()].on_request(from.idx(), round),
-                ControlMsg::KtAck { round, participants } => {
-                    procs[to.idx()].on_ack(from.idx(), round, &participants)
-                }
-                ControlMsg::KtCommit { round } => procs[to.idx()].on_commit(round),
-                other => panic!("KT runs route only KT messages, got {other:?}"),
-            },
-        };
-        self.coord = driver;
+        let action = self.protos[to.idx()].on_control(from.idx(), &msg);
+        // Round completion check: all processes done? Guarded so the O(n)
+        // scan runs only when it could matter — the receiving process is
+        // part of `all`, so an incomplete receiver decides the conjunction
+        // by itself, and once the round's latency is recorded (`started`
+        // entry consumed) the scan is moot.
+        let round = msg.round();
+        if self.protos[to.idx()].round_complete(round)
+            && self.rounds.started.contains_key(&round)
+            && self.protos.iter().all(|p| p.round_complete(round))
+        {
+            let t0 = self.rounds.started.remove(&round).expect("guard checked the key");
+            self.rounds.latencies.push(now.as_f64() - t0);
+        }
         self.apply_coord_action(sched, now, to, action);
     }
 
@@ -298,13 +115,7 @@ impl Simulation {
         action: CoordAction,
     ) {
         if let Some(index) = action.checkpoint {
-            self.take_checkpoint(
-                now,
-                actor,
-                index,
-                causality::trace::CkptKind::Coordinated,
-                false,
-            );
+            self.take_checkpoint(now, actor, index, CkptKind::Coordinated, false);
         }
         for (dest, msg) in action.send {
             self.route_ctl(sched, actor, MhId(dest), msg);
@@ -332,16 +143,12 @@ impl Simulation {
 
     /// Re-injects control messages buffered while `mh` was disconnected.
     pub(crate) fn coord_flush_buffered(&mut self, sched: &mut Scheduler<Ev>, mh: MhId) {
-        let mut driver = std::mem::replace(&mut self.coord, CoordDriver::Idle);
-        let drained: Vec<(MhId, ControlMsg)> = match &mut driver {
-            CoordDriver::Cl { buffered, .. }
-            | CoordDriver::Ps { buffered, .. }
-            | CoordDriver::Kt { buffered, .. } => std::mem::take(&mut buffered[mh.idx()]),
-            CoordDriver::Idle => Vec::new(),
+        let Some(buffered) = self.rounds.buffered.get_mut(mh.idx()) else {
+            return; // no coordination rounds in this run
         };
-        self.coord = driver;
+        let drained = std::mem::take(buffered);
+        let wireless = self.topology().wireless_latency();
         for (from, msg) in drained {
-            let wireless = self.topology().wireless_latency();
             sched.schedule_in(wireless, Ev::DeliverCtl { to: mh, from, msg });
         }
     }
@@ -350,7 +157,17 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cic::CicKind;
+    use cic::piggyback::{PbCodec, Piggyback};
+    use cic::protocol::Protocol;
+
+    use crate::config::ProtocolChoice;
+
+    const CHOICES: [ProtocolChoice; 7] = ProtocolChoice::all(7.5);
+
+    /// Host `me` of a 10-host world.
+    fn host(choice: ProtocolChoice, me: usize) -> Box<dyn Protocol> {
+        choice.instantiate(me, 10, 0, PbCodec::Dense)
+    }
 
     fn cfg(protocol: ProtocolChoice) -> SimConfig {
         SimConfig {
@@ -361,74 +178,56 @@ mod tests {
 
     #[test]
     fn driver_matches_protocol_choice() {
-        assert!(matches!(
-            CoordDriver::new(&cfg(ProtocolChoice::Cic(CicKind::Qbc))),
-            CoordDriver::Idle
-        ));
-        assert!(matches!(
-            CoordDriver::new(&cfg(ProtocolChoice::ChandyLamport { interval: 5.0 })),
-            CoordDriver::Cl { .. }
-        ));
-        assert!(matches!(
-            CoordDriver::new(&cfg(ProtocolChoice::PrakashSinghal { interval: 5.0 })),
-            CoordDriver::Ps { .. }
-        ));
-        assert!(matches!(
-            CoordDriver::new(&cfg(ProtocolChoice::KooToueg { interval: 5.0 })),
-            CoordDriver::Kt { .. }
-        ));
+        for choice in CHOICES {
+            assert_eq!(host(choice, 0).name(), choice.name());
+            // Only coordinated runs hold per-host control-message buffers.
+            let buffers = Rounds::new(&cfg(choice)).buffered.len();
+            assert_eq!(buffers, if choice.interval().is_some() { 10 } else { 0 });
+        }
     }
 
     #[test]
     fn interval_only_for_coordinated() {
-        assert_eq!(
-            CoordDriver::new(&cfg(ProtocolChoice::Cic(CicKind::Bcs))).interval(),
-            None
-        );
-        assert_eq!(
-            CoordDriver::new(&cfg(ProtocolChoice::ChandyLamport { interval: 7.5 })).interval(),
-            Some(7.5)
-        );
+        let intervals: Vec<Option<f64>> = CHOICES.iter().map(|c| c.interval()).collect();
+        assert_eq!(intervals[..4], [None; 4]);
+        assert_eq!(intervals[4..], [Some(7.5); 3]);
     }
 
     #[test]
     fn only_kt_blocks() {
-        let idle = CoordDriver::new(&cfg(ProtocolChoice::Cic(CicKind::Tp)));
-        assert!(!idle.is_blocked(MhId(0)));
-        let cl = CoordDriver::new(&cfg(ProtocolChoice::ChandyLamport { interval: 5.0 }));
-        assert!(!cl.is_blocked(MhId(0)));
-        let mut kt = CoordDriver::new(&cfg(ProtocolChoice::KooToueg { interval: 5.0 }));
-        assert!(!kt.is_blocked(MhId(0)));
-        // A session with dependencies blocks the initiator until acked.
-        if let CoordDriver::Kt { procs, .. } = &mut kt {
-            procs[0].on_app_message(1, &[false; 10]);
-            procs[0].initiate(1);
+        for choice in CHOICES {
+            let (mut p0, mut p1) = (host(choice, 0), host(choice, 1));
+            // A session with dependencies blocks the initiator until acked.
+            p0.on_receive(1, &p1.on_send(0));
+            assert!(!p0.is_blocked());
+            p0.initiate(1);
+            assert_eq!(p0.is_blocked(), choice.name() == "KT", "{}", choice.name());
+            assert!(!p1.is_blocked());
         }
-        assert!(kt.is_blocked(MhId(0)));
-        assert!(!kt.is_blocked(MhId(1)));
     }
 
     #[test]
     fn ps_and_kt_piggyback_depsets() {
-        let ps = CoordDriver::new(&cfg(ProtocolChoice::PrakashSinghal { interval: 5.0 }));
-        assert!(matches!(
-            ps.ps_piggyback(MhId(0)),
-            Piggyback::DepSet { .. }
-        ));
-        let kt = CoordDriver::new(&cfg(ProtocolChoice::KooToueg { interval: 5.0 }));
-        assert!(matches!(
-            kt.ps_piggyback(MhId(0)),
-            Piggyback::DepSet { .. }
-        ));
-        let idle = CoordDriver::new(&cfg(ProtocolChoice::Cic(CicKind::Qbc)));
-        assert_eq!(idle.ps_piggyback(MhId(0)), Piggyback::None);
+        for choice in CHOICES {
+            let pb = host(choice, 0).on_send(1);
+            let depset = matches!(pb, Piggyback::DepSet { ref deps } if deps.len() == 10);
+            assert_eq!(depset, matches!(choice.name(), "PS" | "KT"), "{}", choice.name());
+            if choice.name() == "CL" {
+                assert_eq!(pb, Piggyback::None);
+            }
+        }
     }
 
     #[test]
     fn round_latencies_only_from_cl() {
-        let ps = CoordDriver::new(&cfg(ProtocolChoice::PrakashSinghal { interval: 5.0 }));
-        assert!(ps.round_latencies().is_empty());
-        let cl = CoordDriver::new(&cfg(ProtocolChoice::ChandyLamport { interval: 5.0 }));
-        assert!(cl.round_latencies().is_empty());
+        for choice in CHOICES {
+            let r = Simulation::run(SimConfig {
+                horizon: 200.0,
+                p_switch: 1.0,
+                ..cfg(choice)
+            });
+            let timed = !r.coord_round_latencies.is_empty();
+            assert_eq!(timed, choice.name() == "CL", "{}", choice.name());
+        }
     }
 }

@@ -449,24 +449,9 @@ pub struct ClassRow {
 /// Runs the class comparison at the paper's base point.
 pub fn ext_classes(base_seed: u64, replications: usize) -> Vec<ClassRow> {
     let coord_interval = 100.0;
-    let choices = [
-        ProtocolChoice::Cic(CicKind::Qbc),
-        ProtocolChoice::Cic(CicKind::Bcs),
-        ProtocolChoice::Cic(CicKind::Tp),
-        ProtocolChoice::Cic(CicKind::Uncoordinated),
-        ProtocolChoice::ChandyLamport {
-            interval: coord_interval,
-        },
-        ProtocolChoice::PrakashSinghal {
-            interval: coord_interval,
-        },
-        ProtocolChoice::KooToueg {
-            interval: coord_interval,
-        },
-    ];
-    choices
-        .iter()
-        .map(|&protocol| {
+    ProtocolChoice::all(coord_interval)
+        .into_iter()
+        .map(|protocol| {
             let mut cfg = SimConfig::paper(protocol, 1000.0, 0.8, 0.0);
             cfg.periodic_mean = coord_interval;
             let s = summarize_point(&cfg, base_seed, replications);

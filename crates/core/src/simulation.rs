@@ -17,9 +17,10 @@
 //!   MSS→MH (wireless) at the configured latencies; the location directory
 //!   is consulted per send; the at-least-once transport may duplicate, the
 //!   receiver deduplicates;
-//! * **protocol** — a [`cic::protocol::Protocol`] instance per host decides
-//!   forced checkpoints and piggybacks (or a coordinated driver runs rounds
-//!   through the internal `coord` module);
+//! * **protocol** — one [`cic::protocol::Protocol`] instance per host
+//!   decides piggybacks and forced checkpoints; the internal `coord`
+//!   module times the coordinated baselines' rounds and routes their
+//!   control messages without knowing which protocol runs;
 //! * **storage** — every checkpoint is shipped (incrementally) to the
 //!   current MSS's stable storage, fetching the base across the backbone
 //!   after a cell switch.
@@ -43,7 +44,7 @@ use simkit::prelude::*;
 use simkit::trace::CkptClass;
 
 use crate::config::{ProtocolChoice, SimConfig};
-use crate::coord::CoordDriver;
+use crate::coord::Rounds;
 use crate::report::{CkptBreakdown, RunReport};
 
 /// Wire size charged for a mobility/coordination control message.
@@ -221,7 +222,7 @@ pub struct Simulation {
     fault: Option<FaultState>,
     pub(crate) metrics: NetMetrics,
     pub(crate) protos: Vec<Box<dyn Protocol>>,
-    pub(crate) coord: CoordDriver,
+    pub(crate) rounds: Rounds,
     trace: Option<TraceBuilder>,
     tracer: Tracer,
     registry: MetricsRegistry,
@@ -283,17 +284,10 @@ impl Simulation {
             .map(|i| MssId(mobility.initial_cell(i, &mut placement_rng)))
             .collect();
 
-        let protos: Vec<Box<dyn Protocol>> = match cfg.protocol {
-            ProtocolChoice::Cic(kind) => (0..n)
-                .map(|i| kind.instantiate_with(i, n, initial[i].idx() as u32, cfg.pb_codec))
-                .collect(),
-            // Coordinated runs still take the mobility-mandated basic
-            // checkpoints; a bare counter protocol does that bookkeeping.
-            _ => (0..n)
-                .map(|i| cic::CicKind::Uncoordinated.instantiate(i, n, initial[i].idx() as u32))
-                .collect(),
-        };
-        let coord = CoordDriver::new(&cfg);
+        let protos: Vec<Box<dyn Protocol>> = (0..n)
+            .map(|i| cfg.protocol.instantiate(i, n, initial[i].idx() as u32, cfg.pb_codec))
+            .collect();
+        let rounds = Rounds::new(&cfg);
 
         let mut sim = Simulation {
             topo: Topology::with_latencies(cfg.n_mss, cfg.latencies),
@@ -327,10 +321,7 @@ impl Simulation {
                     // Re-delivering one logged receive costs a downlink hop.
                     replay_entry_cost: cfg.latencies.wireless,
                     n_mss: cfg.n_mss,
-                    has_location_vectors: matches!(
-                        cfg.protocol,
-                        ProtocolChoice::Cic(cic::CicKind::Tp)
-                    ),
+                    has_location_vectors: cfg.protocol == ProtocolChoice::Cic(cic::CicKind::Tp),
                     ..RecoveryParams::default()
                 },
                 stats: RecoveryStats::default(),
@@ -339,7 +330,7 @@ impl Simulation {
             }),
             metrics: NetMetrics::new(n),
             protos,
-            coord,
+            rounds,
             // Recovery planning needs the causality trace, so failure
             // injection forces it on even when the caller did not ask.
             trace: (cfg.record_trace || cfg.failures_enabled()).then(|| TraceBuilder::new(n)),
@@ -382,7 +373,7 @@ impl Simulation {
                 sched.schedule_in(d, Ev::Periodic { mh });
             }
         }
-        if let Some(interval) = sim.coord.interval() {
+        if let Some(interval) = sim.cfg.protocol.interval() {
             sched.schedule_in(interval, Ev::CoordRound);
         }
         if let Some(f) = &mut sim.fault {
@@ -464,7 +455,7 @@ impl Simulation {
         out: RunOutcome,
         profile: Option<EngineProfile>,
     ) -> RunReport {
-        let coord_round_latencies = self.coord.round_latencies().to_vec();
+        let coord_round_latencies = std::mem::take(&mut self.rounds.latencies);
         // Optimistic flushes whose window closed before the horizon
         // completed during the run; account them before reading the
         // stores (entries still inside the window stay pending — they
@@ -1050,7 +1041,7 @@ impl Simulation {
         let send = self.traffic.is_send(i, &mut self.workload_rng[i]);
         let mut ckpt_pause = 0.0;
         if send {
-            if self.coord.is_blocked(mh) {
+            if self.protos[i].is_blocked() {
                 // A blocking coordination session (Koo-Toueg) suppresses
                 // application sends until commit.
                 self.blocked_sends += 1;
@@ -1072,13 +1063,7 @@ impl Simulation {
         // span it, attributing the modelled wire bytes.
         let pb = {
             let _enc_span = self.spans.scope("piggyback.encode");
-            let pb = match self.cfg.protocol {
-                ProtocolChoice::Cic(_) => self.protos[i].on_send(dest.idx()),
-                ProtocolChoice::ChandyLamport { .. } => Piggyback::None,
-                ProtocolChoice::PrakashSinghal { .. } | ProtocolChoice::KooToueg { .. } => {
-                    self.coord.ps_piggyback(mh)
-                }
-            };
+            let pb = self.protos[i].on_send(dest.idx());
             // Attribute the wire bytes to a child named after the control-
             // information shape (index vs. vectors ...), the axis the
             // paper's scalability argument varies.
@@ -1187,26 +1172,19 @@ impl Simulation {
             self.msgs_delivered += 1;
             self.metrics.app_msgs_delivered += 1;
 
-            let mut forced = false;
-            match self.cfg.protocol {
-                ProtocolChoice::Cic(_) => {
-                    // Decoding the piggyback (dependency-vector merge, index
-                    // comparison) is the per-receive protocol cost; the
-                    // forced checkpoint it may trigger is spanned separately
-                    // inside `take_checkpoint`.
-                    let out = {
-                        let _dec_span = self.spans.scope("piggyback.decode");
-                        let kind_span = self.spans.scope(q.payload.pb.kind_name());
-                        kind_span.add_bytes(q.payload.pb.wire_bytes() as u64);
-                        self.protos[mh.idx()].on_receive(q.from.idx(), &q.payload.pb)
-                    };
-                    if let Some(index) = out.forced {
-                        // Forced checkpoint precedes delivery.
-                        self.take_checkpoint(now, mh, index, CkptKind::Forced, false);
-                        forced = true;
-                    }
-                }
-                _ => self.coord.on_app_message(mh, q.from, q.packet, &q.payload.pb),
+            // Decoding the piggyback (dependency-vector merge, index
+            // comparison) is the per-receive protocol cost; the forced
+            // checkpoint it may trigger is spanned separately inside
+            // `take_checkpoint`.
+            let out = {
+                let _dec_span = self.spans.scope("piggyback.decode");
+                let kind_span = self.spans.scope(q.payload.pb.kind_name());
+                kind_span.add_bytes(q.payload.pb.wire_bytes() as u64);
+                self.protos[mh.idx()].on_receive(q.from.idx(), &q.payload.pb)
+            };
+            if let Some(index) = out.forced {
+                // Forced checkpoint precedes delivery.
+                self.take_checkpoint(now, mh, index, CkptKind::Forced, false);
             }
             // Message logging at the MSS. Pessimistic: a synchronous
             // stable write precedes delivery. Optimistic: the station
@@ -1250,7 +1228,7 @@ impl Simulation {
                     },
                 );
             }
-            return forced;
+            return out.forced.is_some();
         }
     }
 
@@ -1311,7 +1289,7 @@ impl Clone for Simulation {
             fault: self.fault.clone(),
             metrics: self.metrics.clone(),
             protos: self.protos.clone(),
-            coord: self.coord.clone(),
+            rounds: self.rounds.clone(),
             trace: self.trace.clone(),
             tracer: Tracer::disabled(),
             registry: MetricsRegistry::disabled(),
@@ -1724,8 +1702,8 @@ impl Simulation {
     /// Whether `cfg` can run under the conservative parallel backend with
     /// byte-identical results. The gate requires:
     ///
-    /// * a CIC protocol — the coordinated baselines drive global rounds
-    ///   through one shared driver;
+    /// * a CIC protocol — the coordinated baselines run global rounds
+    ///   from one shared round timer;
     /// * no failure injection and no causality trace — recovery planning
     ///   reads a global trace;
     /// * no transport duplication — the duplicate draw consumes the shared

@@ -5,7 +5,7 @@
 //! cargo run --release -p mck-suite --example class_comparison
 //! ```
 //!
-//! Runs the same mobile workload under all six protocols and contrasts the
+//! Runs the same mobile workload under all seven protocols and contrasts the
 //! costs the paper argues about: checkpoints, dedicated control messages,
 //! location searches (each marker must find a mobile host!) and piggybacked
 //! bytes. Chandy–Lamport round-completion latency shows how disconnections

@@ -39,6 +39,24 @@ echo "==> smoke: determinism across --jobs"
     --jobs 4 > "$out_dir/par.txt"
 diff -q "$out_dir/seq.txt" "$out_dir/par.txt"
 
+# Coordinated baselines through the CLI: the class comparison runs
+# Chandy-Lamport, Prakash-Singhal and Koo-Toueg next to the CIC protocols.
+# Its rows are a pure function of the seed (byte-identical across --jobs),
+# and only Koo-Toueg, the one blocking protocol, may suppress sends.
+echo "==> smoke: coordinated baselines (mck classes, --jobs 1 vs 4)"
+"$mck" classes --reps 1 --jobs 1 > "$out_dir/classes1.txt"
+"$mck" classes --reps 1 --jobs 4 > "$out_dir/classes4.txt"
+diff -q "$out_dir/classes1.txt" "$out_dir/classes4.txt"
+for proto in CL PS KT; do
+    grep -q "^ *$proto " "$out_dir/classes1.txt"
+done
+# Table rows start on line 4; the last column counts blocked sends.
+blocking="$(awk 'NR > 3 && $1 != "KT" && $NF != 0 { print $1 }' "$out_dir/classes1.txt")"
+if [ -n "$blocking" ]; then
+    echo "protocols other than KT blocked sends: $blocking" >&2
+    exit 1
+fi
+
 # Intra-run parallel backend parity: --par-workers (the conservative
 # cell-partitioned backend, crates/pardes) must produce a byte-identical
 # mck.run/v1 artifact to the serial run; the deterministic

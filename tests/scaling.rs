@@ -15,6 +15,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use causality::trace::{CkptKind, MsgId, ProcId, TraceBuilder};
+use mck::prelude::*;
 use mobnet::topology::AdjacencyGraph;
 use simkit::event::Scheduler;
 use simkit::metrics::MetricsRegistry;
@@ -121,5 +122,19 @@ fn scheduler_hold_is_n_log_n_in_pending_events() {
             s.schedule_in(rng.exp(1.0), fired.event);
         }
         black_box(s.now());
+    });
+}
+
+/// A coordinated run over its horizon: Chandy–Lamport at the class
+/// comparison's point with a round every 25. Each host takes part in every
+/// round, so per-host work that rescans all rounds joined so far (as the
+/// deleted channel-state recording did on every receive) is quadratic.
+#[test]
+fn coordinated_run_is_linear_in_horizon() {
+    let choice = ProtocolChoice::ChandyLamport { interval: 25.0 };
+    assert_linear("Chandy-Lamport run", 4_000, |horizon| {
+        let mut cfg = SimConfig::paper(choice, 1000.0, 0.8, 0.0);
+        cfg.horizon = horizon as f64;
+        black_box(Simulation::run(cfg));
     });
 }
