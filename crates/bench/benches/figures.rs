@@ -3,7 +3,7 @@
 //! One benchmark per figure (1–6) runs a reduced version of the figure's
 //! sweep — two `T_switch` points, one seed, all three protocols — so
 //! `cargo bench` exercises the exact code path behind every figure. The
-//! full-scale series are produced by the `figures` binary.
+//! full-scale series are produced by `mck fig`.
 
 use mck::experiments::{figure, run_figure, FigureSpec};
 use mck_bench::{black_box, Bench};

@@ -1,12 +1,12 @@
-//! `mck-bench` — benchmarks and figure-regeneration binaries.
+//! `mck-bench` — microbenchmarks of the simulator's hot paths.
 //!
 //! This crate ships a minimal, dependency-free benchmarking harness (see
-//! [`Bench`]) used by the targets under `benches/`, replacing the previous
-//! Criterion setup so the workspace builds fully offline. The harness
-//! auto-calibrates an iteration count per benchmark, runs a fixed number of
-//! timed batches, and reports mean/min ns per iteration in a plain table.
-//! Results are also exposed programmatically so binaries can persist them as
-//! machine-readable artifacts (`BENCH_*.json`).
+//! [`Bench`]) used by the targets under `benches/`, so the workspace builds
+//! fully offline. The harness auto-calibrates an iteration count per
+//! benchmark, runs a fixed number of timed batches, and reports mean/min ns
+//! per iteration in a plain table. The end-to-end benchmarks that write
+//! `BENCH_*.json` artifacts are `mck` commands (`mck sweep-bench`,
+//! `mck scale`, ...).
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};

@@ -109,8 +109,12 @@ impl Args {
         }
     }
 
-    /// Comma-separated list of floats.
-    pub fn get_f64_list(&self, key: &str, default: &[f64]) -> Result<Vec<f64>, ArgError> {
+    /// Comma-separated list of numbers.
+    pub fn get_list<T: std::str::FromStr + Clone>(
+        &self,
+        key: &str,
+        default: &[T],
+    ) -> Result<Vec<T>, ArgError> {
         match self.get(key) {
             None => Ok(default.to_vec()),
             Some(v) => v
@@ -175,9 +179,10 @@ mod tests {
     #[test]
     fn list_parsing() {
         let a = Args::parse(&raw(&["--ts", "100, 200,500"]), &["ts"], &[]).unwrap();
-        assert_eq!(a.get_f64_list("ts", &[]).unwrap(), vec![100.0, 200.0, 500.0]);
+        assert_eq!(a.get_list::<f64>("ts", &[]).unwrap(), vec![100.0, 200.0, 500.0]);
+        assert_eq!(a.get_list::<u64>("ts", &[]).unwrap(), vec![100, 200, 500]);
         let d = Args::default();
-        assert_eq!(d.get_f64_list("ts", &[1.0]).unwrap(), vec![1.0]);
+        assert_eq!(d.get_list("ts", &[1.0]).unwrap(), vec![1.0]);
     }
 
     #[test]

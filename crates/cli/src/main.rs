@@ -1,14 +1,17 @@
 //! `mck` — command-line front end for the mobile-checkpointing simulator.
 //!
 //! `mck <command> [flags]`; [`usage`] lists every command with the flags it
-//! reads, and [`command`] holds those lists. `run`, `profile`, `sweep`, and
-//! `fig` also take `--scenario FILE`: a `mck.scenario/v1` JSON file (see
-//! `scenarios/`) that swaps the cell topology, mobility model, and traffic
-//! model and may override scalar parameters. Explicit flags still win over
-//! the scenario. Every command takes `--jobs N` and rejects any other flag
-//! it does not read.
+//! reads, and [`COMMANDS`] holds those lists. Every table the paper and
+//! EXPERIMENTS.md report has exactly one command that prints it (`--csv`
+//! for machine-readable output); the benchmark commands live in [`bench`].
+//! `run`, `profile`, `sweep`, and `fig` also take `--scenario FILE`: a
+//! `mck.scenario/v1` JSON file (see `scenarios/`) that swaps the cell
+//! topology, mobility model, and traffic model and may override scalar
+//! parameters. Explicit flags still win over the scenario. Every command
+//! takes `--jobs N` and rejects any other flag it does not read.
 
 mod args;
+mod bench;
 
 use args::{ArgError, Args};
 use mck::experiments::{self, FigureSpec, T_SWITCH_SWEEP};
@@ -29,11 +32,52 @@ fn main() {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  mck run     [--protocol P] [--mh N] [--mss M] [--t-switch T] [--p-switch P] [--h H] [--horizon T] [--seed S] [--ps P] [--dup P]\n              [--logging off|pessimistic|optimistic] [--flush-latency T]\n              [--fail-mtbf T] [--fail-mss-mtbf T]\n              [--trace trace.jsonl] [--metrics artifact.json] [--profile] [--progress]\n  mck profile [run flags] [--out PROFILE.json] [--folded out.folded] [--prom out.prom]\n  mck sweep   [--protocol P] [--mh N] [--mss M] [--t-switch-list a,b,c] [--p-switch P] [--h H] [--reps R] [--seed S] [--csv] [--out-dir DIR]\n  mck fig N   [--reps R] [--seed S] [--csv] [--out-dir DIR]      (N in 1..6, or 'all')\n  mck claims  [--reps R] [--seed S]\n  mck classes|storage|recovery-time|topologies|contention [--reps R] [--seed S] [--csv]\n  mck rollback [--reps R] [--seed S] [--csv] [--logging off|pessimistic|optimistic] [--out-dir DIR]\n  mck crash   [--reps R] [--seed S] [--csv] [--t-switch-list a,b,c] [--out-dir DIR]\n  mck check   [--protocol P] [--mh N] [--mss M] [--horizon T] [--t-switch T] [--seed S]\n              [--max-states K] [--mutate] [--out MC.json] | --replay MC.json\n  mck inspect <artifact.json|scenario.json|cache-dir> [--deterministic]\n  mck serve   [--addr HOST] [--port N] [--cache-dir DIR] [--max-entries N] [--queue-depth N] [--max-requests N]\n  mck list\nevery command: --jobs N (worker threads; default MCK_JOBS or all cores)\nrun/fig: --cache-dir DIR (content-addressed result cache; warm requests replay\n                          stored artifact bytes verbatim)\nrun/profile: --par-workers N (N conservative cell-partitioned workers; results\n                              are identical to the serial run)\nrun/profile/sweep: --pb-codec dense|rle (TP vector piggyback wire codec; trajectory is identical)\nrun/profile/sweep/fig: --scenario FILE (mck.scenario/v1 environment + parameter overrides;\n                                        explicit flags still win)\na command rejects every flag it does not read\nprotocols: TP, BCS, QBC, UNCOORD"
+    "usage:
+  mck run     [--protocol P] [--mh N] [--mss M] [--t-switch T] [--p-switch P] [--h H] [--horizon T] [--seed S] [--ps P] [--dup P]
+              [--logging off|pessimistic|optimistic] [--flush-latency T]
+              [--fail-mtbf T] [--fail-mss-mtbf T]
+              [--trace trace.jsonl] [--metrics artifact.json] [--profile] [--progress]
+  mck profile [run flags] [--out PROFILE.json] [--folded out.folded] [--prom out.prom]
+  mck sweep   [--protocol P] [--mh N] [--mss M] [--t-switch-list a,b,c] [--p-switch P] [--h H] [--reps R] [--seed S] [--csv] [--out-dir DIR]
+  mck fig N   [--reps R] [--seed S] [--csv] [--plot] [--out-dir DIR]      (N in 1..6, or 'all')
+  mck claims|ablation|control-bytes|classes|storage|recovery-time|topologies|contention|scenarios [--reps R] [--seed S] [--csv]
+  mck rollback [--reps R] [--seed S] [--csv] [--logging off|pessimistic|optimistic] [--out-dir DIR]
+  mck crash   [--reps R] [--seed S] [--csv] [--t-switch-list a,b,c] [--out-dir DIR]
+  mck log-size [--reps R] [--seed S] [--csv] [--out-dir DIR]
+  mck check   [--protocol P] [--mh N] [--mss M] [--horizon T] [--t-switch T] [--seed S]
+              [--max-states K] [--mutate] [--out MC.json] | --replay MC.json
+  mck inspect <artifact.json|scenario.json|cache-dir> [--deterministic]
+  mck serve   [--addr HOST] [--port N] [--cache-dir DIR] [--max-entries N] [--queue-depth N] [--max-requests N]
+  mck list
+benchmarks (each writes BENCH_<x>.json into --out-dir DIR, default the working directory):
+  mck sweep-bench [--reps R] [--seed S]
+  mck serve-bench [--warm N] [--min-speedup X]
+  mck mc-bench    [--seed S] [--csv]
+  mck par-bench   [--n-list a,b,c] [--horizon T] [--mss-ratio R] [--par-workers N] [--seed S] [--csv]
+                  [--check-regression] [--min-speedup X]
+  mck scale       [--n-list a,b,c] [--horizon T] [--mss-ratio R] [--seed S] [--csv] [--check-regression]
+every command: --jobs N (worker threads; default MCK_JOBS or all cores)
+run/fig: --cache-dir DIR (content-addressed result cache; warm requests replay
+                          stored artifact bytes verbatim)
+run/profile: --par-workers N (N conservative cell-partitioned workers; results
+                              are identical to the serial run)
+run/profile/sweep: --pb-codec dense|rle (TP vector piggyback wire codec; trajectory is identical)
+run/profile/sweep/fig: --scenario FILE (mck.scenario/v1 environment + parameter overrides;
+                                        explicit flags still win)
+a command rejects every flag it does not read
+protocols: TP, BCS, QBC, UNCOORD"
 }
 
 /// Flags that take no value.
-const BOOLEAN: &[&str] = &["csv", "profile", "progress", "deterministic", "mutate"];
+const BOOLEAN: &[&str] = &[
+    "csv",
+    "plot",
+    "profile",
+    "progress",
+    "deterministic",
+    "mutate",
+    "check-regression",
+];
 
 /// The run-configuration flags [`config_of`] reads, except `--t-switch`,
 /// which `sweep` replaces with `--t-switch-list`.
@@ -57,48 +101,174 @@ const CONFIG: &[&str] = &[
 
 type Handler = fn(&Args) -> Result<String, ArgError>;
 
+/// The flags every experiment table command reads.
+const EXPERIMENT: &[&str] = &["reps", "seed", "csv"];
+
+/// Every command: its name, what it does (for `mck list`), its handler,
+/// whether it reads the run-configuration flags in [`CONFIG`], and the
+/// other flags it reads. The lists are exact: a flag a command does not
+/// read is rejected instead of silently ignored.
+type Command = (&'static str, &'static str, Handler, bool, &'static [&'static str]);
+
+const COMMANDS: &[Command] = &[
+    (
+        "run",
+        "one simulation run (--metrics: mck.run/v1, --trace: event stream)",
+        cmd_run,
+        true,
+        &["t-switch", "trace", "metrics", "profile", "progress", "par-workers", "cache-dir"],
+    ),
+    (
+        "profile",
+        "instrumented run: mck.profile/v1 span attribution, folded stacks, Prometheus text",
+        cmd_profile,
+        true,
+        &["t-switch", "out", "folded", "prom", "progress", "par-workers"],
+    ),
+    (
+        "sweep",
+        "one protocol over a T_switch sweep (mck.sweep/v1)",
+        cmd_sweep,
+        true,
+        &["t-switch-list", "reps", "csv", "out-dir"],
+    ),
+    (
+        "fig",
+        "figures 1-6 with their gain columns (mck.figure/v1; --plot draws them)",
+        cmd_fig,
+        false,
+        &["reps", "seed", "csv", "plot", "out-dir", "cache-dir", "scenario"],
+    ),
+    ("claims", "C1-C3: the in-text quantitative claims", cmd_claims, false, EXPERIMENT),
+    ("ablation", "C4: N_tot vs checkpoint duration", cmd_ablation, false, EXPERIMENT),
+    (
+        "control-bytes",
+        "E1: piggybacked control bytes per message vs number of hosts",
+        cmd_control_bytes,
+        false,
+        EXPERIMENT,
+    ),
+    (
+        "rollback",
+        "E2: rollback after a failure; --logging pessimistic: E8, replay recovery",
+        cmd_rollback,
+        false,
+        &["reps", "seed", "csv", "logging", "out-dir"],
+    ),
+    (
+        "classes",
+        "E3: uncoordinated / coordinated / communication-induced classes",
+        cmd_classes,
+        false,
+        EXPERIMENT,
+    ),
+    ("storage", "E4: stable-storage occupancy after GC", cmd_storage, false, EXPERIMENT),
+    (
+        "recovery-time",
+        "E5: recovery-line collection cost",
+        cmd_recovery_time,
+        false,
+        EXPERIMENT,
+    ),
+    ("topologies", "E6: cell-adjacency graph ablation", cmd_topologies, false, EXPERIMENT),
+    (
+        "contention",
+        "E7: wireless channel contention at finite bandwidth",
+        cmd_contention,
+        false,
+        EXPERIMENT,
+    ),
+    ("scenarios", "E9: paper vs. Markov mobility", cmd_scenarios, false, EXPERIMENT),
+    (
+        "crash",
+        "E10: live crashes, pessimistic vs. optimistic logging (mck.recovery/v1)",
+        cmd_crash,
+        false,
+        &["reps", "seed", "csv", "t-switch-list", "out-dir"],
+    ),
+    (
+        "log-size",
+        "peak live message-log bytes vs T_switch (mck.log_size/v1)",
+        cmd_log_size,
+        false,
+        &["reps", "seed", "csv", "out-dir"],
+    ),
+    (
+        "check",
+        "exhaustive model check of a tiny world (mck.mc/v1; --mutate, --replay)",
+        cmd_check,
+        false,
+        &[
+            "protocol", "mh", "mss", "horizon", "t-switch", "seed", "max-states", "mutate", "out",
+            "replay",
+        ],
+    ),
+    (
+        "inspect",
+        "validate and summarize an artifact, a scenario file or a cache directory",
+        cmd_inspect,
+        false,
+        &["deterministic"],
+    ),
+    (
+        "serve",
+        "HTTP service with a content-addressed result cache",
+        cmd_serve,
+        false,
+        &["addr", "port", "cache-dir", "max-entries", "queue-depth", "max-requests"],
+    ),
+    ("list", "this list", |_| Ok(cmd_list()), false, &[]),
+    (
+        "sweep-bench",
+        "figure-grid throughput at 1 and N jobs (BENCH_sweep.json)",
+        bench::sweep_bench,
+        false,
+        &["reps", "seed", "out-dir"],
+    ),
+    (
+        "serve-bench",
+        "cold vs. warm serve latency (BENCH_serve.json)",
+        bench::serve_bench,
+        false,
+        &["warm", "min-speedup", "out-dir"],
+    ),
+    (
+        "mc-bench",
+        "model-checker throughput and safety gate (BENCH_mc.json)",
+        bench::mc_bench,
+        false,
+        &["seed", "csv", "out-dir"],
+    ),
+    (
+        "par-bench",
+        "serial vs. parallel backend, byte parity and speedup (BENCH_par.json)",
+        bench::par_bench,
+        false,
+        &[
+            "n-list",
+            "horizon",
+            "mss-ratio",
+            "par-workers",
+            "seed",
+            "csv",
+            "out-dir",
+            "check-regression",
+            "min-speedup",
+        ],
+    ),
+    (
+        "scale",
+        "throughput and bytes/host across host counts (BENCH_scale.json)",
+        bench::scale,
+        false,
+        &["n-list", "horizon", "mss-ratio", "seed", "csv", "out-dir", "check-regression"],
+    ),
+];
+
 /// A command's handler and every flag it reads, the global `--jobs`
-/// included; `None` for an unknown command. The lists are exact: a flag a
-/// command does not read is rejected instead of silently ignored.
+/// included; `None` for an unknown command.
 fn command(name: &str) -> Option<(Handler, Vec<&'static str>)> {
-    let (handler, config, own): (Handler, bool, &[&str]) = match name {
-        "run" => (
-            cmd_run,
-            true,
-            &["t-switch", "trace", "metrics", "profile", "progress", "par-workers", "cache-dir"],
-        ),
-        "profile" => (
-            cmd_profile,
-            true,
-            &["t-switch", "out", "folded", "prom", "progress", "par-workers"],
-        ),
-        "sweep" => (cmd_sweep, true, &["t-switch-list", "reps", "csv", "out-dir"]),
-        "fig" => (cmd_fig, false, &["reps", "seed", "csv", "out-dir", "cache-dir", "scenario"]),
-        "claims" => (cmd_claims, false, &["reps", "seed"]),
-        "classes" => (cmd_classes, false, &["reps", "seed", "csv"]),
-        "rollback" => (cmd_rollback, false, &["reps", "seed", "csv", "logging", "out-dir"]),
-        "storage" => (cmd_storage, false, &["reps", "seed", "csv"]),
-        "recovery-time" => (cmd_recovery_time, false, &["reps", "seed", "csv"]),
-        "crash" => (cmd_crash, false, &["reps", "seed", "csv", "t-switch-list", "out-dir"]),
-        "topologies" => (cmd_topologies, false, &["reps", "seed", "csv"]),
-        "contention" => (cmd_contention, false, &["reps", "seed", "csv"]),
-        "check" => (
-            cmd_check,
-            false,
-            &[
-                "protocol", "mh", "mss", "horizon", "t-switch", "seed", "max-states", "mutate",
-                "out", "replay",
-            ],
-        ),
-        "inspect" => (cmd_inspect, false, &["deterministic"]),
-        "serve" => (
-            cmd_serve,
-            false,
-            &["addr", "port", "cache-dir", "max-entries", "queue-depth", "max-requests"],
-        ),
-        "list" => (|_| Ok(cmd_list()), false, &[]),
-        _ => return None,
-    };
+    let &(_, _, handler, config, own) = COMMANDS.iter().find(|c| c.0 == name)?;
     let mut flags = if config { CONFIG.to_vec() } else { Vec::new() };
     flags.extend_from_slice(own);
     flags.push("jobs");
@@ -480,7 +650,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
 fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
     let reps = args.get_usize("reps", 3)?;
     let seed = args.get_u64("seed", 1)?;
-    let ts = args.get_f64_list("t-switch-list", &T_SWITCH_SWEEP)?;
+    let ts = args.get_list("t-switch-list", &T_SWITCH_SWEEP)?;
     let base = config_of(args)?;
     // The whole grid (points × replications) runs as one flattened job
     // list across the pool; the wall clock therefore measures real sweep
@@ -503,18 +673,16 @@ fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
     }
     let mut out = render(args, &table, &format!("{} sweep", base.protocol.name()));
     if let Some(dir) = args.get("out-dir") {
-        let path = std::path::Path::new(dir)
-            .join(format!("SWEEP_{}.json", base.protocol.name()));
+        let name = format!("SWEEP_{}.json", base.protocol.name());
         let art = mck::artifact::sweep_artifact(&base, seed, reps, &points, Some(timing));
-        mck::artifact::write(&path, &art)
-            .map_err(|e| ArgError(format!("--out-dir {}: {e}", path.display())))?;
-        out += &format!("sweep artifact -> {}\n", path.display());
+        out += &write_artifact(dir, &name, "sweep", &art)?;
     }
     Ok(out)
 }
 
 /// A figure fixes its own protocols, parameter grid and world; only a
-/// `--scenario` file changes them.
+/// `--scenario` file changes them. `--plot` adds a log-log terminal chart
+/// under each table.
 fn cmd_fig(args: &Args) -> Result<String, ArgError> {
     let reps = args.get_usize("reps", 5)?;
     let seed = args.get_u64("seed", 1)?;
@@ -534,6 +702,9 @@ fn cmd_fig(args: &Args) -> Result<String, ArgError> {
         }
     }
     if let Some(dir) = args.get("cache-dir") {
+        if args.flag("plot") {
+            return Err(ArgError("fig reads --plot only without --cache-dir".into()));
+        }
         return cmd_fig_cached(args, &ids, dir);
     }
     // All requested figures execute as one flattened job list, so `fig all`
@@ -543,15 +714,13 @@ fn cmd_fig(args: &Args) -> Result<String, ArgError> {
     let results = experiments::run_figures_scenario(&specs, seed, reps, scenario.as_ref());
     let mut out = String::new();
     for (id, res) in ids.iter().copied().zip(results) {
-        let spec = &res.spec;
-        out += &format!("{}\n", spec.caption());
-        out += &render(args, &res.table(), "");
+        out += &render(args, &res.table(), &res.spec.caption());
+        if args.flag("plot") {
+            out += &format!("\n{}\n", res.plot());
+        }
         if let Some(dir) = args.get("out-dir") {
-            let path = std::path::Path::new(dir).join(format!("FIG{id}.json"));
             let art = mck::artifact::figure_artifact(&res, seed, reps);
-            mck::artifact::write(&path, &art)
-                .map_err(|e| ArgError(format!("--out-dir {}: {e}", path.display())))?;
-            out += &format!("figure artifact -> {}\n", path.display());
+            out += &write_artifact(dir, &format!("FIG{id}.json"), "figure", &art)?;
         }
         out += "\n";
     }
@@ -612,7 +781,7 @@ fn cmd_claims(args: &Args) -> Result<String, ArgError> {
     // One flattened batch across all four claim figures.
     let specs: Vec<FigureSpec> = [1, 2, 5, 6].iter().map(|&n| experiments::figure(n)).collect();
     let figs = experiments::run_figures(&specs, seed, reps);
-    let mut table = Table::new(vec!["claim", "paper", "measured", "holds"]);
+    let mut table = Table::new(vec!["claim", "paper statement", "measured", "holds"]);
     for c in experiments::claims(&figs) {
         table.push_row(vec![
             c.id.to_string(),
@@ -621,7 +790,39 @@ fn cmd_claims(args: &Args) -> Result<String, ArgError> {
             if c.holds { "yes" } else { "NO" }.to_string(),
         ]);
     }
-    Ok(table.render())
+    Ok(render(args, &table, "In-text claims"))
+}
+
+fn cmd_ablation(args: &Args) -> Result<String, ArgError> {
+    let reps = args.get_usize("reps", 5)?;
+    let seed = args.get_u64("seed", 1)?;
+    let rows = experiments::ablation_ckpt_time(seed, reps, &[0.0, 0.1, 0.5, 1.0]);
+    let mut table = Table::new(vec!["ckpt duration", "TP", "BCS", "QBC"]);
+    for (d, per_proto) in rows {
+        let mut row = vec![format!("{d}")];
+        for (_, e) in per_proto {
+            row.push(fmt_estimate(e.mean, e.ci95));
+        }
+        table.push_row(row);
+    }
+    let title = "Ablation C4: N_tot vs checkpoint duration (T_switch=1000, P_switch=0.8)";
+    Ok(render(args, &table, title))
+}
+
+fn cmd_control_bytes(args: &Args) -> Result<String, ArgError> {
+    let reps = args.get_usize("reps", 3)?;
+    let seed = args.get_u64("seed", 1)?;
+    let rows = experiments::ext_control_bytes(seed, reps, &[5, 10, 20, 40]);
+    let mut table = Table::new(vec!["hosts", "TP B/msg", "BCS B/msg", "QBC B/msg"]);
+    for (n, per_proto) in rows {
+        let mut row = vec![n.to_string()];
+        for (_, bytes) in per_proto {
+            row.push(format!("{bytes:.1}"));
+        }
+        table.push_row(row);
+    }
+    let title = "Extension E1: piggybacked control bytes per message vs number of hosts";
+    Ok(render(args, &table, title))
 }
 
 fn cmd_classes(args: &Args) -> Result<String, ArgError> {
@@ -646,7 +847,9 @@ fn cmd_classes(args: &Args) -> Result<String, ArgError> {
             format!("{:.0}", r.blocked_sends),
         ]);
     }
-    Ok(render(args, &table, "protocol classes"))
+    let title =
+        "Extension E3: protocol classes (T_switch=1000, P_switch=0.8, rounds every 100)";
+    Ok(render(args, &table, title))
 }
 
 fn cmd_storage(args: &Args) -> Result<String, ArgError> {
@@ -662,7 +865,8 @@ fn cmd_storage(args: &Args) -> Result<String, ArgError> {
             format!("{:.0}", r.max_retained),
         ]);
     }
-    Ok(render(args, &table, "stable-storage occupancy after GC"))
+    let title = "Extension E4: stable-storage occupancy after GC (T_switch=300, P_switch=0.8)";
+    Ok(render(args, &table, title))
 }
 
 fn cmd_recovery_time(args: &Args) -> Result<String, ArgError> {
@@ -673,8 +877,9 @@ fn cmd_recovery_time(args: &Args) -> Result<String, ArgError> {
         "protocol",
         "mean waves",
         "max waves",
-        "latency",
+        "latency (t.u.)",
         "ctl msgs",
+        "MiB fetched",
     ]);
     for r in rows {
         table.push_row(vec![
@@ -683,16 +888,24 @@ fn cmd_recovery_time(args: &Args) -> Result<String, ArgError> {
             r.max_waves.to_string(),
             format!("{:.4}", r.mean_latency),
             format!("{:.0}", r.mean_msgs),
+            format!("{:.1}", r.mean_bytes / (1 << 20) as f64),
         ]);
     }
-    Ok(render(args, &table, "recovery-line collection cost"))
+    let title = "Extension E5: recovery-line collection cost (T_switch=500, P_switch=0.8)";
+    Ok(render(args, &table, title))
 }
 
 fn cmd_contention(args: &Args) -> Result<String, ArgError> {
     let reps = args.get_usize("reps", 3)?;
     let seed = args.get_u64("seed", 1)?;
     let rows = experiments::ext_contention(seed, reps);
-    let mut table = Table::new(vec!["protocol", "N_tot", "channel util", "queueing", "ckpt MiB"]);
+    let mut table = Table::new(vec![
+        "protocol",
+        "N_tot",
+        "channel util",
+        "queueing (t.u.)",
+        "ckpt MiB",
+    ]);
     for r in rows {
         table.push_row(vec![
             r.protocol,
@@ -702,22 +915,33 @@ fn cmd_contention(args: &Args) -> Result<String, ArgError> {
             format!("{:.1}", r.ckpt_mib),
         ]);
     }
-    Ok(render(args, &table, "wireless channel contention"))
+    let title = "Extension E7: channel contention at 50 kB/t.u. (T_switch=1000, P_switch=0.8)";
+    Ok(render(args, &table, title))
 }
 
 fn cmd_topologies(args: &Args) -> Result<String, ArgError> {
     let reps = args.get_usize("reps", 3)?;
     let seed = args.get_u64("seed", 1)?;
     let rows = experiments::ext_topologies(seed, reps);
-    let mut table = Table::new(vec!["cell graph", "TP", "BCS", "QBC"]);
+    let mut table = Table::new(vec![
+        "cell graph",
+        "TP",
+        "BCS",
+        "QBC",
+        "QBC fetches",
+        "QBC wired hops",
+    ]);
     for r in rows {
         let mut row = vec![r.graph.to_string()];
         for (_, e) in &r.n_tot {
             row.push(fmt_estimate(e.mean, e.ci95));
         }
+        row.push(format!("{:.0}", r.qbc_ckpt_fetches));
+        row.push(format!("{:.0}", r.qbc_wired_hops));
         table.push_row(row);
     }
-    Ok(render(args, &table, "cell-topology ablation"))
+    let title = "Extension E6: N_tot per cell-adjacency graph (T_switch=500, P_switch=0.8)";
+    Ok(render(args, &table, title))
 }
 
 fn cmd_rollback(args: &Args) -> Result<String, ArgError> {
@@ -746,12 +970,13 @@ fn cmd_rollback(args: &Args) -> Result<String, ArgError> {
             format!("{:.1}", r.worst_total_undone),
         ]);
     }
-    Ok(render(args, &table, "rollback after failure"))
+    let title = "Extension E2: rollback after a single-host failure (horizon 2000)";
+    Ok(render(args, &table, title))
 }
 
-/// The logging variant of `rollback`: undone work under checkpoint-only
-/// recovery vs. replay recovery over the MSS message logs, per protocol,
-/// on identical trajectories (logging never perturbs a run).
+/// The logging variant of `rollback` (E8): undone work under
+/// checkpoint-only recovery vs. replay recovery over the MSS message logs,
+/// per protocol, on identical trajectories (logging never perturbs a run).
 fn cmd_rollback_logging(args: &Args, seed: u64, reps: usize) -> Result<String, ArgError> {
     let rows = experiments::ext_rollback_logging(seed, reps);
     let mut table = Table::new(vec![
@@ -761,6 +986,7 @@ fn cmd_rollback_logging(args: &Args, seed: u64, reps: usize) -> Result<String, A
         "replayed (t.u.)",
         "replayed msgs",
         "log peak (KiB)",
+        "log writes (KiB)",
     ]);
     for r in &rows {
         table.push_row(vec![
@@ -770,15 +996,15 @@ fn cmd_rollback_logging(args: &Args, seed: u64, reps: usize) -> Result<String, A
             format!("{:.1}", r.mean_replayed_time),
             format!("{:.1}", r.mean_replayed_receives),
             format!("{:.1}", r.mean_log_peak_bytes / 1024.0),
+            format!("{:.1}", r.mean_stable_write_bytes / 1024.0),
         ]);
     }
-    let mut out = render(args, &table, "rollback with pessimistic message logging");
+    let title = "Extension E8: undone work with vs. without pessimistic message logging \
+                 (horizon 2000)";
+    let mut out = render(args, &table, title);
     if let Some(dir) = args.get("out-dir") {
-        let path = std::path::Path::new(dir).join("ROLLBACK_LOGGING.json");
         let art = mck::artifact::rollback_logging_artifact(seed, reps, &rows);
-        mck::artifact::write(&path, &art)
-            .map_err(|e| ArgError(format!("--out-dir {}: {e}", path.display())))?;
-        out += &format!("rollback-logging artifact -> {}\n", path.display());
+        out += &write_artifact(dir, "ROLLBACK_LOGGING.json", "rollback-logging", &art)?;
     }
     Ok(out)
 }
@@ -790,16 +1016,16 @@ fn cmd_rollback_logging(args: &Args, seed: u64, reps: usize) -> Result<String, A
 fn cmd_crash(args: &Args) -> Result<String, ArgError> {
     let reps = args.get_usize("reps", 2)?;
     let seed = args.get_u64("seed", 1)?;
-    let ts = args.get_f64_list("t-switch-list", &[500.0, 2000.0])?;
+    let ts = args.get_list("t-switch-list", &[500.0, 2000.0])?;
     let rows = experiments::ext_recovery(seed, reps, &ts);
     let mut table = Table::new(vec![
         "T_switch",
         "MTBF",
         "protocol",
         "crashes",
-        "downtime p|o",
-        "avail p|o",
-        "undone p|o",
+        "downtime pess|opt",
+        "avail pess|opt",
+        "undone pess|opt",
         "unstable lost",
     ]);
     for r in &rows {
@@ -816,15 +1042,69 @@ fn cmd_crash(args: &Args) -> Result<String, ArgError> {
             ]);
         }
     }
-    let mut out = render(args, &table, "crash injection and live recovery");
+    let title = "Extension E10: downtime and availability under live crashes (horizon 2000)";
+    let mut out = render(args, &table, title);
     if let Some(dir) = args.get("out-dir") {
-        let path = std::path::Path::new(dir).join("RECOVERY.json");
         let art = mck::artifact::recovery_artifact(seed, reps, &rows);
-        mck::artifact::write(&path, &art)
-            .map_err(|e| ArgError(format!("--out-dir {}: {e}", path.display())))?;
-        out += &format!("recovery artifact -> {}\n", path.display());
+        out += &write_artifact(dir, "RECOVERY.json", "recovery", &art)?;
     }
     Ok(out)
+}
+
+/// `mck log-size`: peak live MSS log bytes per protocol across the
+/// `T_switch` sweep under pessimistic logging; `--out-dir` also writes the
+/// `mck.log_size/v1` artifact `BENCH_log_size.json`.
+fn cmd_log_size(args: &Args) -> Result<String, ArgError> {
+    let reps = args.get_usize("reps", 3)?;
+    let seed = args.get_u64("seed", 1)?;
+    let rows = experiments::ext_log_size(seed, reps, &T_SWITCH_SWEEP);
+    let mut table = Table::new(vec![
+        "T_switch",
+        "TP peak KiB",
+        "BCS peak KiB",
+        "QBC peak KiB",
+        "UNCOORD peak KiB",
+    ]);
+    for row in &rows {
+        let mut cells = vec![format!("{:.0}", row.t_switch)];
+        for (_, s) in &row.series {
+            cells.push(format!("{:.1}", s.mean_peak_bytes / 1024.0));
+        }
+        table.push_row(cells);
+    }
+    let title =
+        "Log-size figures: peak live MSS log bytes vs T_switch (P_switch=0.8, horizon 4000)";
+    let mut out = render(args, &table, title);
+    if let Some(dir) = args.get("out-dir") {
+        let art = mck::artifact::log_size_artifact(seed, reps, &rows);
+        out += &write_artifact(dir, "BENCH_log_size.json", "log-size", &art)?;
+    }
+    Ok(out)
+}
+
+fn cmd_scenarios(args: &Args) -> Result<String, ArgError> {
+    let reps = args.get_usize("reps", 3)?;
+    let seed = args.get_u64("seed", 1)?;
+    let rows = experiments::ext_scenarios(seed, reps);
+    let mut table = Table::new(vec![
+        "environment",
+        "TP",
+        "BCS",
+        "QBC",
+        "handoffs/run",
+        "disconnects/run",
+    ]);
+    for r in &rows {
+        let mut cells = vec![r.env.to_string()];
+        for (_, e) in &r.n_tot {
+            cells.push(fmt_estimate(e.mean, e.ci95));
+        }
+        cells.push(format!("{:.0}", r.mean_handoffs));
+        cells.push(format!("{:.0}", r.mean_disconnects));
+        table.push_row(cells);
+    }
+    let title = "Extension E9: N_tot under paper vs. Markov mobility (grid 2x3, T_switch=500)";
+    Ok(render(args, &table, title))
 }
 
 /// Builds a [`mcheck::CheckConfig`] from `mck check` flags. Defaults come
@@ -1051,34 +1331,16 @@ fn cmd_check(args: &Args) -> Result<String, ArgError> {
 }
 
 fn cmd_list() -> String {
-    let mut out = String::from("experiments:\n");
+    let mut out = String::from("paper figures (mck fig N):\n");
     for n in 1..=6 {
         out += &format!("  fig {n}: {}\n", experiments::figure(n).caption());
     }
-    out += "  claims:   C1-C3 in-text quantitative claims\n";
-    out += "  classes:  uncoordinated / coordinated / communication-induced comparison\n";
-    out += "  rollback: failure-injection rollback analysis (paper future work)\n";
-    out += "            (--logging pessimistic compares replay recovery over MSS message logs)\n";
-    out += "  storage:  stable-storage occupancy under garbage collection\n";
-    out += "  recovery-time: recovery-line collection cost per protocol\n";
-    out += "  crash:    live failure injection with in-simulation recovery\n";
-    out += "            (pessimistic vs. optimistic logging; downtime and availability)\n";
-    out += "  topologies: cell-adjacency graph ablation\n";
-    out += "  contention: wireless channel contention at finite bandwidth\n";
-    out += "  profile:  instrumented run emitting the mck.profile/v1 span-attribution artifact\n";
-    out += "            (--folded for flamegraph stacks, --prom for Prometheus text)\n";
-    out += "  check:    bounded exhaustive model checking — every schedule of a tiny world,\n";
-    out += "            safety invariants asserted in every distinct state\n";
-    out += "            (--mutate plants a broken forced-checkpoint predicate; --out writes the\n";
-    out += "             mck.mc/v1 artifact; --replay re-runs its counterexample schedule)\n";
-    out += "  inspect:  summarize a JSON artifact written by run/sweep/fig, or a scenario file\n";
-    out += "            (--deterministic prints the artifact minus its timing members, for diffs)\n";
-    out += "            (a cache directory lists its entries: key, kind, bytes, age)\n";
-    out += "  serve:    HTTP service with a content-addressed result cache\n";
-    out += "            (POST /run, POST /sweep, GET /status, GET /metrics, POST /shutdown;\n";
-    out += "             warm requests replay stored artifact bytes without running anything)\n";
-    out += "scenarios: pass --scenario FILE (mck.scenario/v1) to run/sweep/fig to swap the\n";
-    out += "           cell topology, mobility model, and traffic model; see scenarios/\n";
+    out += "commands:\n";
+    for (name, about, ..) in COMMANDS {
+        out += &format!("  {name:<14} {about}\n");
+    }
+    out += "scenarios: pass --scenario FILE (mck.scenario/v1) to run/profile/sweep/fig to swap\n";
+    out += "           the cell topology, mobility model, and traffic model; see scenarios/\n";
     out
 }
 
@@ -1093,6 +1355,23 @@ fn render(args: &Args, table: &Table, title: &str) -> String {
     } else {
         format!("{title}\n{body}")
     }
+}
+
+/// Writes `art` as `dir/name` and returns the line that reports it.
+fn write_artifact(dir: &str, name: &str, what: &str, art: &Json) -> Result<String, ArgError> {
+    let path = std::path::Path::new(dir).join(name);
+    mck::artifact::write(&path, art)
+        .map_err(|e| ArgError(format!("--out-dir {}: {e}", path.display())))?;
+    Ok(format!("{what} artifact -> {}\n", path.display()))
+}
+
+/// `out` when a gate passed; when it failed, prints `out` first so the
+/// table and artifact line still reach stdout, then returns the failure.
+fn gated(out: String, verdict: Result<(), ArgError>) -> Result<String, ArgError> {
+    if verdict.is_err() {
+        print!("{out}");
+    }
+    verdict.map(|()| out)
 }
 
 #[cfg(test)]
@@ -1269,7 +1548,7 @@ mod tests {
             dir.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(out.contains("downtime p|o"), "{out}");
+        assert!(out.contains("downtime pess|opt"), "{out}");
         let art = dir.join("RECOVERY.json");
         let inspected = dispatch(&raw(&["inspect", art.to_str().unwrap()])).unwrap();
         assert!(inspected.contains("mck.recovery/v1"), "{inspected}");
@@ -1529,13 +1808,9 @@ mod tests {
 
     #[test]
     fn every_command_rejects_the_flags_it_does_not_read() {
-        let names = [
-            "run", "profile", "sweep", "fig", "claims", "classes", "rollback", "storage",
-            "recovery-time", "crash", "topologies", "contention", "check", "inspect", "serve",
-            "list",
-        ];
-        let mut every: Vec<&str> = names.iter().flat_map(|n| command(n).unwrap().1).collect();
-        every.extend(["queue", "nope"]);
+        let names = COMMANDS.iter().map(|c| c.0);
+        let mut every: Vec<&str> = names.clone().flat_map(|n| command(n).unwrap().1).collect();
+        every.extend(["queue", "nope", "json", "workers"]);
         for name in names {
             let reads = command(name).unwrap().1;
             assert!(reads.contains(&"jobs"), "{name}");
@@ -1558,6 +1833,88 @@ mod tests {
             }
         }
         assert!(command("frobnicate").is_none());
+    }
+
+    #[test]
+    fn list_names_every_command() {
+        let out = cmd_list();
+        for (name, ..) in COMMANDS {
+            assert!(out.contains(&format!("\n  {name} ")), "mck list misses {name}:\n{out}");
+        }
+    }
+
+    /// Runs `line` twice, as a table and with `--csv`, and checks that both
+    /// open with `title` and carry the header `columns`.
+    fn assert_table_and_csv(line: &[&str], title: &str, columns: &[&str]) -> String {
+        let out = dispatch(&raw(line)).unwrap();
+        assert!(out.starts_with(&format!("{title}\n")), "{out}");
+        let header = out.lines().nth(1).unwrap();
+        for col in columns {
+            assert!(header.contains(col), "{header}");
+        }
+        let mut csv = raw(line);
+        csv.push("--csv".into());
+        let csv_out = dispatch(&csv).unwrap();
+        assert!(csv_out.starts_with(&format!("{title}\n{}\n", columns.join(","))), "{csv_out}");
+        out
+    }
+
+    #[test]
+    fn ablation_prints_c4_table() {
+        assert_table_and_csv(
+            &["ablation", "--reps", "1"],
+            "Ablation C4: N_tot vs checkpoint duration (T_switch=1000, P_switch=0.8)",
+            &["ckpt duration", "TP", "BCS", "QBC"],
+        );
+    }
+
+    #[test]
+    fn control_bytes_prints_e1_table() {
+        let out = assert_table_and_csv(
+            &["control-bytes", "--reps", "1"],
+            "Extension E1: piggybacked control bytes per message vs number of hosts",
+            &["hosts", "TP B/msg", "BCS B/msg", "QBC B/msg"],
+        );
+        assert_eq!(out.lines().count(), 3 + 4, "one row per host count: {out}");
+    }
+
+    #[test]
+    fn scenarios_prints_e9_table() {
+        assert_table_and_csv(
+            &["scenarios", "--reps", "1"],
+            "Extension E9: N_tot under paper vs. Markov mobility (grid 2x3, T_switch=500)",
+            &["environment", "TP", "BCS", "QBC", "handoffs/run", "disconnects/run"],
+        );
+    }
+
+    #[test]
+    fn log_size_prints_table_and_writes_artifact() {
+        let dir = std::env::temp_dir().join("mck_cli_test_log_size");
+        std::fs::remove_dir_all(&dir).ok();
+        let out = assert_table_and_csv(
+            &["log-size", "--reps", "1", "--out-dir", dir.to_str().unwrap()],
+            "Log-size figures: peak live MSS log bytes vs T_switch (P_switch=0.8, horizon 4000)",
+            &["T_switch", "TP peak KiB", "BCS peak KiB", "QBC peak KiB", "UNCOORD peak KiB"],
+        );
+        assert!(out.contains("log-size artifact ->"), "{out}");
+        let doc = mck::artifact::read(&dir.join("BENCH_log_size.json")).unwrap();
+        assert_eq!(mck::artifact::validate(&doc).unwrap(), mck::artifact::LOG_SIZE_SCHEMA);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn artifact_write_under_a_regular_file_fails() {
+        let file = std::env::temp_dir().join("mck_cli_test_not_a_dir");
+        std::fs::write(&file, "x").unwrap();
+        let dir = file.join("x");
+        let art = Json::Obj(vec![]);
+        let err = write_artifact(dir.to_str().unwrap(), "A.json", "test", &art).unwrap_err();
+        assert!(err.0.contains("--out-dir"), "{err}");
+        let line = ["sweep", "--t-switch-list", "100", "--horizon", "50", "--reps", "1"];
+        let mut sweep = raw(&line);
+        sweep.extend(raw(&["--out-dir", dir.to_str().unwrap()]));
+        assert!(dispatch(&sweep).is_err());
+        std::fs::remove_file(&file).ok();
     }
 
     #[test]

@@ -12,10 +12,8 @@
 //! * `mck.sweep/v1` — a `T_switch` sweep of one protocol
 //!   ([`sweep_artifact`]);
 //! * `mck.figure/v1` — one of the paper's figures ([`figure_artifact`]);
-//! * `mck.bench_figures/v1` — the bench suite's multi-figure document with
-//!   per-protocol wall-clock timings (written by `figures --json`);
 //! * `mck.bench_sweep/v1` — the parallel-sweep throughput benchmark
-//!   (written by `figures sweep-bench`): wall-clock and runs-per-second of
+//!   (written by `mck sweep-bench`): wall-clock and runs-per-second of
 //!   the full figure grid at each worker count, with per-protocol timings;
 //! * `mck.rollback_logging/v1` — undone work with vs. without pessimistic
 //!   message logging, per protocol ([`rollback_logging_artifact`]);
@@ -27,12 +25,12 @@
 //! * `mck.profile/v1` — span-profiler attribution of one run
 //!   ([`profile_artifact`], written by `mck profile`);
 //! * `mck.bench_scale/v1` — events/sec and bytes/host across host counts
-//!   (written by `figures scale`);
+//!   (written by `mck scale`);
 //! * `mck.mc/v1` — one exhaustive model-checking run (written by
 //!   `mck check --out`): exploration counters plus, on violation, the
 //!   minimal counterexample schedule, replayable via `mck check --replay`;
 //! * `mck.bench_mc/v1` — model-checker throughput across configurations
-//!   (written by `figures mc-bench`).
+//!   (written by `mck mc-bench`).
 //!
 //! Scenario files (`mck.scenario/v1`, see the `scenario` crate) share the
 //! self-describing envelope, so `mck inspect` understands them too.
@@ -61,32 +59,29 @@ pub const RUN_SCHEMA: &str = "mck.run/v1";
 pub const SWEEP_SCHEMA: &str = "mck.sweep/v1";
 /// Schema tag of figure artifacts.
 pub const FIGURE_SCHEMA: &str = "mck.figure/v1";
-/// Schema tag of the bench suite's multi-figure artifact
-/// (`figures --json BENCH_figures.json`).
-pub const BENCH_SCHEMA: &str = "mck.bench_figures/v1";
 /// Schema tag of the parallel-sweep throughput artifact
-/// (`figures sweep-bench`, conventionally `BENCH_sweep.json`).
+/// (`mck sweep-bench`, conventionally `BENCH_sweep.json`).
 pub const BENCH_SWEEP_SCHEMA: &str = "mck.bench_sweep/v1";
 /// Schema tag of the logging-vs-checkpoint-only rollback artifact
 /// (`mck rollback --logging pessimistic`).
 pub const ROLLBACK_LOGGING_SCHEMA: &str = "mck.rollback_logging/v1";
 /// Schema tag of the log-size sweep artifact
-/// (`figures log-size`, conventionally `BENCH_log_size.json`).
+/// (`mck log-size`, conventionally `BENCH_log_size.json`).
 pub const LOG_SIZE_SCHEMA: &str = "mck.log_size/v1";
 /// Schema tag of the fault-injection recovery artifact
-/// (`figures recovery`, conventionally `BENCH_recovery.json`).
+/// (`mck crash`, conventionally `RECOVERY.json`).
 pub const RECOVERY_SCHEMA: &str = "mck.recovery/v1";
 /// Schema tag of the span-profile artifact (`mck profile`, conventionally
 /// `PROFILE.json`).
 pub const PROFILE_SCHEMA: &str = "mck.profile/v1";
-/// Schema tag of the host-count scaling benchmark (`figures scale`,
+/// Schema tag of the host-count scaling benchmark (`mck scale`,
 /// conventionally `BENCH_scale.json`).
 pub const BENCH_SCALE_SCHEMA: &str = "mck.bench_scale/v1";
 /// Schema tag of the content-addressed result cache's index file
 /// (`servekit`; `<cache-dir>/index.json`).
 pub const CACHE_INDEX_SCHEMA: &str = "mck.cache_index/v1";
 /// Schema tag of the cold-vs-warm serving benchmark
-/// (`figures serve-bench`, conventionally `BENCH_serve.json`).
+/// (`mck serve-bench`, conventionally `BENCH_serve.json`).
 pub const SERVE_BENCH_SCHEMA: &str = "mck.serve_bench/v1";
 /// Schema tag of a model-checking run (`mck check`): exploration summary
 /// and, on violation, the minimal counterexample schedule. The document is
@@ -94,10 +89,10 @@ pub const SERVE_BENCH_SCHEMA: &str = "mck.serve_bench/v1";
 /// `mck check --replay FILE` reproduces the violation deterministically.
 pub const MC_SCHEMA: &str = "mck.mc/v1";
 /// Schema tag of the model-checking throughput benchmark
-/// (`figures mc-bench`, conventionally `BENCH_mc.json`).
+/// (`mck mc-bench`, conventionally `BENCH_mc.json`).
 pub const BENCH_MC_SCHEMA: &str = "mck.bench_mc/v1";
 /// Schema tag of the serial-vs-parallel backend benchmark
-/// (`figures par-bench`, conventionally `BENCH_par.json`): per-N wall
+/// (`mck par-bench`, conventionally `BENCH_par.json`): per-N wall
 /// clock and events/sec for the heap scheduler against the conservative
 /// cell-partitioned backend, plus the byte-identity verdict.
 pub const BENCH_PAR_SCHEMA: &str = "mck.bench_par/v1";
@@ -116,8 +111,13 @@ fn header(schema: &str) -> Vec<(String, Json)> {
 
 /// Serializes the full configuration of a run.
 pub fn config_json(cfg: &SimConfig) -> Json {
-    Json::Obj(vec![
-        ("protocol".into(), Json::str(cfg.protocol.name())),
+    let mut members = vec![("protocol".into(), Json::str(cfg.protocol.name()))];
+    // Only the coordinated baselines run rounds; the CIC protocols' config
+    // stays as it always was.
+    if let Some(interval) = cfg.protocol.interval() {
+        members.push(("round_interval".into(), Json::Num(interval)));
+    }
+    members.extend([
         ("n_mhs".into(), Json::uint(cfg.n_mhs as u64)),
         ("n_mss".into(), Json::uint(cfg.n_mss as u64)),
         ("p_send".into(), Json::Num(cfg.p_send)),
@@ -145,7 +145,8 @@ pub fn config_json(cfg: &SimConfig) -> Json {
         ("topology".into(), cfg.env.topology.to_json()),
         ("mobility".into(), cfg.env.mobility.to_json()),
         ("traffic".into(), cfg.env.traffic.to_json()),
-    ])
+    ]);
+    Json::Obj(members)
 }
 
 fn estimate_json(e: &Estimate) -> Json {
@@ -551,15 +552,6 @@ pub fn validate(v: &Json) -> Result<&str, String> {
                 return Err("artifact has no points".into());
             }
         }
-        BENCH_SCHEMA => {
-            let figs = v
-                .get("figures")
-                .and_then(Json::as_arr)
-                .ok_or("bench artifact missing 'figures' array")?;
-            if figs.is_empty() {
-                return Err("bench artifact has no figures".into());
-            }
-        }
         BENCH_SWEEP_SCHEMA => {
             let sweeps = v
                 .get("sweeps")
@@ -859,39 +851,6 @@ pub fn describe(v: &Json) -> Result<String, String> {
                     None => "?".into(),
                 };
                 t.push_row(vec![ts, cell]);
-            }
-            out += &t.render();
-        }
-        BENCH_SCHEMA => {
-            let figs = v.get("figures").and_then(Json::as_arr).expect("validated");
-            let mut t =
-                crate::table::Table::new(vec!["figure", "points", "wall (ms)", "protocols timed"]);
-            for f in figs {
-                let id = f
-                    .get("id")
-                    .and_then(Json::as_u64)
-                    .map(|x| x.to_string())
-                    .unwrap_or_else(|| "?".into());
-                let points = f
-                    .get("result")
-                    .and_then(|r| r.get("points"))
-                    .and_then(Json::as_arr)
-                    .map_or(0, <[Json]>::len);
-                let wall = f
-                    .get("wall_ms")
-                    .and_then(Json::as_f64)
-                    .map(|x| format!("{x:.0}"))
-                    .unwrap_or_else(|| "?".into());
-                let timed = f
-                    .get("timings")
-                    .and_then(Json::as_arr)
-                    .map_or_else(String::new, |ts| {
-                        ts.iter()
-                            .filter_map(|t| t.get("protocol").and_then(Json::as_str))
-                            .collect::<Vec<_>>()
-                            .join(" ")
-                    });
-                t.push_row(vec![id, points.to_string(), wall, timed]);
             }
             out += &t.render();
         }
@@ -1447,38 +1406,6 @@ mod tests {
             "describe must show the sweep estimate: {text}"
         );
         assert!(!text.contains("mean=0.0 ci95=0.0"));
-    }
-
-    #[test]
-    fn bench_artifact_validates_and_describes() {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::str(BENCH_SCHEMA)),
-            ("version".into(), Json::str(version())),
-            (
-                "figures".into(),
-                Json::Arr(vec![Json::Obj(vec![
-                    ("id".into(), Json::uint(2)),
-                    ("wall_ms".into(), Json::Num(12.5)),
-                    (
-                        "timings".into(),
-                        Json::Arr(vec![Json::Obj(vec![
-                            ("protocol".into(), Json::str("QBC")),
-                            ("wall_ms".into(), Json::Num(3.0)),
-                        ])]),
-                    ),
-                ])]),
-            ),
-        ]);
-        assert_eq!(validate(&doc).unwrap(), BENCH_SCHEMA);
-        let text = describe(&doc).unwrap();
-        assert!(text.contains("QBC"));
-        // An empty figure list is rejected.
-        let empty = Json::Obj(vec![
-            ("schema".into(), Json::str(BENCH_SCHEMA)),
-            ("version".into(), Json::str(version())),
-            ("figures".into(), Json::Arr(vec![])),
-        ]);
-        assert!(validate(&empty).is_err());
     }
 
     #[test]

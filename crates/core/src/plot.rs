@@ -2,7 +2,7 @@
 //!
 //! The paper presents its results as log–log line charts (`N_tot` vs
 //! `T_switch`, one curve per protocol). [`AsciiPlot`] renders the same
-//! picture in a terminal so `figures --plot` can show the curves, not just
+//! picture in a terminal so `mck fig N --plot` can show the curves, not just
 //! the tables. Log scaling on both axes is the default, matching the
 //! figures.
 

@@ -226,6 +226,21 @@ mod tests {
     }
 
     #[test]
+    fn round_interval_distinguishes_coordinated_configs() {
+        let cl = |interval| SimConfig {
+            protocol: ProtocolChoice::ChandyLamport { interval },
+            ..SimConfig::default()
+        };
+        let (every_100, every_300) = (cl(100.0), cl(300.0));
+        let config = |cfg: &SimConfig| mck::artifact::config_json(cfg).to_pretty();
+        assert_ne!(config(&every_100), config(&every_300));
+        assert!(config(&every_100).contains("\"round_interval\": 100"));
+        assert_ne!(run_key(&every_100), run_key(&every_300));
+        // The CIC protocols run no rounds and carry no such member.
+        assert!(!config(&SimConfig::default()).contains("round_interval"));
+    }
+
+    #[test]
     fn request_member_order_never_changes_the_key() {
         let a = config_from_json(&parse(r#"{"t_switch":500,"seed":3,"protocol":"QBC"}"#).unwrap())
             .unwrap();

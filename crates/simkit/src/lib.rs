@@ -13,9 +13,8 @@
 //! * [`rng::SimRng`] — a self-contained xoshiro256++ RNG with
 //!   order-independent substreams and the distributions the paper's model
 //!   needs (exponential, Bernoulli, discrete uniform);
-//! * [`stats`] — counters, Welford tallies, time-weighted averages,
-//!   log-binned histograms, batch means, and Student-t confidence
-//!   intervals for replication summaries;
+//! * [`stats`] — Welford tallies, log-binned histograms, and Student-t
+//!   confidence intervals for replication summaries;
 //! * [`metrics`] — a named counter/gauge/histogram registry, near-zero
 //!   cost when disabled, snapshotable to JSON;
 //! * [`span`] — a hierarchical span profiler attributing wall-clock time,
@@ -84,7 +83,7 @@ pub mod prelude {
     pub use crate::pool::{Job, JobPanic, JobPool};
     pub use crate::rng::SimRng;
     pub use crate::span::{SpanProfiler, SpanRow, SpanScope, SpanSnapshot, SpanToken};
-    pub use crate::stats::{BatchMeans, Counter, Estimate, LogHistogram, Tally, TimeWeighted};
+    pub use crate::stats::{Estimate, LogHistogram, Tally};
     pub use crate::time::SimTime;
     pub use crate::trace::{
         CkptClass, JsonlSink, MemorySink, TraceEvent, TraceRecord, TraceSink, Tracer,

@@ -3,39 +3,8 @@
 //! The paper reports point estimates over several independent replications
 //! ("we did several simulation runs with different seeds and the results were
 //! within 4% of each other"). This module provides the collectors used both
-//! inside a run (counters, tallies, time-weighted averages, histograms) and
-//! across runs (replication summaries with Student-t confidence intervals).
-
-use crate::time::SimTime;
-
-/// Monotone event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
+//! inside a run (tallies, histograms) and across runs (replication summaries
+//! with Student-t confidence intervals).
 
 /// Streaming sample statistics (Welford's online algorithm).
 ///
@@ -168,62 +137,6 @@ pub fn t_critical_95(dof: u64) -> f64 {
     }
 }
 
-/// Time-weighted average of a piecewise-constant signal (e.g. queue length,
-/// number of connected hosts).
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    area: f64,
-    start: SimTime,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Starts tracking a signal with `initial` value at time `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            last_value: initial,
-            area: 0.0,
-            start,
-            max: initial,
-        }
-    }
-
-    /// Records that the signal changed to `value` at time `now`.
-    ///
-    /// # Panics
-    /// Panics if `now` precedes the previous update.
-    pub fn update(&mut self, now: SimTime, value: f64) {
-        let dt = now.since(self.last_time);
-        self.area += self.last_value * dt;
-        self.last_time = now;
-        self.last_value = value;
-        self.max = self.max.max(value);
-    }
-
-    /// Current value of the signal.
-    pub fn value(&self) -> f64 {
-        self.last_value
-    }
-
-    /// Largest value seen.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Time-weighted mean over `[start, now]`.
-    pub fn mean_at(&self, now: SimTime) -> f64 {
-        let total = now.since(self.start);
-        if total == 0.0 {
-            return self.last_value;
-        }
-        let area = self.area + self.last_value * now.since(self.last_time);
-        area / total
-    }
-}
-
 /// Fixed-bin histogram with geometrically growing bin edges.
 ///
 /// Suited to long-tailed simulation outputs (message latencies, rollback
@@ -317,95 +230,6 @@ impl LogHistogram {
     }
 }
 
-/// Batch-means estimator with warm-up deletion, for steady-state outputs
-/// observed *within* one long run (as opposed to the terminating-run
-/// replications summarized by [`Estimate`]).
-///
-/// The first `warmup` observations are discarded (initialization bias),
-/// then consecutive observations are grouped into batches of `batch_size`;
-/// the batch means are treated as (approximately) independent samples, the
-/// standard single-run output-analysis recipe. [`BatchMeans::lag1`] offers
-/// a diagnostic: near-zero lag-1 autocorrelation of the batch means
-/// suggests the batch size is large enough.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    warmup_remaining: u64,
-    batch_size: u64,
-    current_sum: f64,
-    current_n: u64,
-    batch_means: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Creates an estimator discarding `warmup` observations and batching
-    /// by `batch_size`.
-    pub fn new(warmup: u64, batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchMeans {
-            warmup_remaining: warmup,
-            batch_size,
-            current_sum: 0.0,
-            current_n: 0,
-            batch_means: Vec::new(),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        assert!(x.is_finite(), "observation must be finite");
-        if self.warmup_remaining > 0 {
-            self.warmup_remaining -= 1;
-            return;
-        }
-        self.current_sum += x;
-        self.current_n += 1;
-        if self.current_n == self.batch_size {
-            self.batch_means.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_n = 0;
-        }
-    }
-
-    /// Completed batches so far.
-    pub fn n_batches(&self) -> usize {
-        self.batch_means.len()
-    }
-
-    /// The batch means collected so far.
-    pub fn batch_means(&self) -> &[f64] {
-        &self.batch_means
-    }
-
-    /// Point estimate with CI over the batch means.
-    pub fn estimate(&self) -> Estimate {
-        Estimate::from_samples(&self.batch_means)
-    }
-
-    /// Lag-1 autocorrelation of the batch means (`None` with fewer than
-    /// three batches or zero variance).
-    pub fn lag1(&self) -> Option<f64> {
-        let n = self.batch_means.len();
-        if n < 3 {
-            return None;
-        }
-        let mean = self.batch_means.iter().sum::<f64>() / n as f64;
-        let var: f64 = self
-            .batch_means
-            .iter()
-            .map(|x| (x - mean) * (x - mean))
-            .sum();
-        if var == 0.0 {
-            return None;
-        }
-        let cov: f64 = self
-            .batch_means
-            .windows(2)
-            .map(|w| (w[0] - mean) * (w[1] - mean))
-            .sum();
-        Some(cov / var)
-    }
-}
-
 /// Point estimate with a 95% confidence interval over replications.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Estimate {
@@ -452,15 +276,6 @@ impl Estimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.incr();
-        c.add(3);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn tally_mean_and_variance() {
@@ -544,23 +359,6 @@ mod tests {
             large.record(x);
         }
         assert!(large.ci95_half_width() < small.ci95_half_width());
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.update(SimTime::new(1.0), 10.0); // 0 over [0,1]
-        tw.update(SimTime::new(3.0), 0.0); // 10 over [1,3]
-        // area = 0*1 + 10*2 = 20 over 4 units, plus 0 over [3,4].
-        assert!((tw.mean_at(SimTime::new(4.0)) - 5.0).abs() < 1e-12);
-        assert_eq!(tw.max(), 10.0);
-        assert_eq!(tw.value(), 0.0);
-    }
-
-    #[test]
-    fn time_weighted_zero_span() {
-        let tw = TimeWeighted::new(SimTime::new(2.0), 7.0);
-        assert_eq!(tw.mean_at(SimTime::new(2.0)), 7.0);
     }
 
     #[test]
@@ -658,69 +456,5 @@ mod tests {
             t.record(s);
         }
         assert_eq!(Estimate::from_tally(&t), Estimate::from_samples(&samples));
-    }
-
-    #[test]
-    fn batch_means_discards_warmup() {
-        let mut bm = BatchMeans::new(5, 2);
-        // 5 biased observations, then 4 steady ones.
-        for _ in 0..5 {
-            bm.record(1000.0);
-        }
-        for x in [1.0, 3.0, 5.0, 7.0] {
-            bm.record(x);
-        }
-        assert_eq!(bm.n_batches(), 2);
-        assert_eq!(bm.batch_means(), &[2.0, 6.0]);
-        let e = bm.estimate();
-        assert!((e.mean - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn batch_means_ignores_incomplete_batch() {
-        let mut bm = BatchMeans::new(0, 3);
-        for x in [1.0, 2.0, 3.0, 100.0] {
-            bm.record(x);
-        }
-        assert_eq!(bm.n_batches(), 1);
-        assert_eq!(bm.batch_means(), &[2.0]);
-    }
-
-    #[test]
-    fn lag1_detects_correlation_structure() {
-        // Alternating batches → strongly negative lag-1 autocorrelation.
-        let mut bm = BatchMeans::new(0, 1);
-        for i in 0..40 {
-            bm.record(if i % 2 == 0 { 1.0 } else { -1.0 });
-        }
-        let rho = bm.lag1().unwrap();
-        assert!(rho < -0.8, "alternating series should anticorrelate: {rho}");
-        // IID-ish uniform noise → small |lag-1|.
-        let mut rng = crate::rng::SimRng::new(3);
-        let mut iid = BatchMeans::new(0, 1);
-        for _ in 0..2000 {
-            iid.record(rng.uniform());
-        }
-        assert!(iid.lag1().unwrap().abs() < 0.1);
-    }
-
-    #[test]
-    fn lag1_needs_enough_batches() {
-        let mut bm = BatchMeans::new(0, 1);
-        bm.record(1.0);
-        bm.record(2.0);
-        assert_eq!(bm.lag1(), None);
-        // Zero variance → None as well.
-        let mut flat = BatchMeans::new(0, 1);
-        for _ in 0..10 {
-            flat.record(4.0);
-        }
-        assert_eq!(flat.lag1(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn zero_batch_size_rejected() {
-        BatchMeans::new(0, 0);
     }
 }

@@ -9,7 +9,7 @@
 //! and QBC. This example runs a reduced sweep (fewer seeds than the full
 //! harness) and renders both the table and the log-log chart the paper
 //! shows. For the full-scale version use
-//! `cargo run --release -p mck-bench --bin figures -- fig 2 --plot`.
+//! `cargo run --release -p mck-cli -- fig 2 --plot`.
 
 use mck::experiments::{figure, run_figure};
 

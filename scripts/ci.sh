@@ -20,7 +20,6 @@ echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 mck="$PWD/target/release/mck"
-figures="$PWD/target/release/figures"
 
 echo "==> smoke: mck run --metrics"
 out_dir="$(mktemp -d)"
@@ -151,29 +150,30 @@ mkdir -p "$out_dir/fig_plain" "$out_dir/fig_paper"
     --out-dir "$out_dir/fig_paper" >/dev/null
 diff -q "$out_dir/fig_plain/FIG1.json" "$out_dir/fig_paper/FIG1.json"
 
-# The non-paper bundled scenarios run end-to-end through the figures
-# binary and emit valid mck.sweep/v1 artifacts.
-echo "==> smoke: figures scenario sweeps (markov_grid + hotspot)"
-"$figures" scenario scenarios/markov_grid.json scenarios/hotspot.json \
-    --reps 1 --out-dir "$out_dir" >/dev/null
-for f in SWEEP_markov_grid_TP SWEEP_markov_grid_BCS SWEEP_markov_grid_QBC \
-         SWEEP_hotspot_TP SWEEP_hotspot_BCS SWEEP_hotspot_QBC; do
-    "$mck" inspect "$out_dir/$f.json" | grep -q "mck.sweep/v1"
+# The non-paper bundled scenarios run a full T_switch sweep per protocol
+# end-to-end and emit valid mck.sweep/v1 artifacts.
+echo "==> smoke: scenario sweeps (markov_grid + hotspot, mck sweep --scenario)"
+for sc in markov_grid hotspot; do
+    for proto in TP BCS QBC; do
+        "$mck" sweep --scenario "scenarios/$sc.json" --protocol "$proto" \
+            --reps 1 --out-dir "$out_dir/sweep_$sc" >/dev/null
+        "$mck" inspect "$out_dir/sweep_$sc/SWEEP_$proto.json" | grep -q "mck.sweep/v1"
+    done
 done
 
 # Log-size figures (ROADMAP item): the sweep emits a valid
 # mck.log_size/v1 artifact.
-echo "==> smoke: figures log-size"
-"$figures" log-size --reps 1 --out-dir "$out_dir" >/dev/null
+echo "==> smoke: mck log-size"
+"$mck" log-size --reps 1 --out-dir "$out_dir" >/dev/null
 "$mck" inspect "$out_dir/BENCH_log_size.json" | grep -q "mck.log_size/v1"
 
 # Scale telemetry: a mini population sweep emits a valid
 # mck.bench_scale/v1 artifact whose deterministic view is seed-stable.
-echo "==> smoke: figures scale mini-sweep"
+echo "==> smoke: mck scale mini-sweep"
 mkdir -p "$out_dir/scale1" "$out_dir/scale2"
-"$figures" scale --n-list 10,20 --horizon 300 \
+"$mck" scale --n-list 10,20 --horizon 300 \
     --out-dir "$out_dir/scale1" >/dev/null 2>&1
-"$figures" scale --n-list 10,20 --horizon 300 \
+"$mck" scale --n-list 10,20 --horizon 300 \
     --out-dir "$out_dir/scale2" >/dev/null 2>&1
 "$mck" inspect "$out_dir/scale1/BENCH_scale.json" | grep -q "mck.bench_scale/v1"
 "$mck" inspect --deterministic "$out_dir/scale1/BENCH_scale.json" \
@@ -186,9 +186,9 @@ diff -q "$out_dir/scale1/det.json" "$out_dir/scale2/det.json"
 # of N=10. A reintroduced O(total-hosts) scan on a hot path (broadcast,
 # delivery, coordinator collection) blows far past that budget; genuine
 # cache effects do not.
-echo "==> smoke: figures scale --check-regression (10 vs 1000 hosts)"
+echo "==> smoke: mck scale --check-regression (10 vs 1000 hosts)"
 mkdir -p "$out_dir/scale_reg"
-"$figures" scale --n-list 10,1000 --horizon 300 --check-regression \
+"$mck" scale --n-list 10,1000 --horizon 300 --check-regression \
     --out-dir "$out_dir/scale_reg" >/dev/null
 
 # Metrics overhead gate: a 10^4-host run registers four names per host at
@@ -296,9 +296,9 @@ grep -q "cache hit" "$out_dir/serve_cli.err"
 # floor proves a hit never recomputes. The committed BENCH_serve.json
 # records ~185x on an idle host; 25x here leaves margin for loaded CI
 # machines while still being unreachable by any recomputing path.
-echo "==> smoke: figures serve-bench (cold vs warm latency)"
-"$figures" serve-bench --warm 5 --min-speedup 25 \
-    --json "$out_dir/BENCH_serve.json" 2>/dev/null
+echo "==> smoke: mck serve-bench (cold vs warm latency)"
+"$mck" serve-bench --warm 5 --min-speedup 25 \
+    --out-dir "$out_dir" >/dev/null 2>&1
 "$mck" inspect "$out_dir/BENCH_serve.json" | grep -q "mck.serve_bench/v1"
 
 # Model checking: every schedule of the 2 MH x 2 MSS world (horizon 3)
@@ -324,16 +324,16 @@ grep -q "VIOLATION" "$out_dir/mc_mutated.txt"
 
 # Model-checker throughput bench: the full protocol x world-size grid
 # must check clean and complete; the artifact records states/sec.
-echo "==> smoke: figures mc-bench"
-"$figures" mc-bench --json "$out_dir/BENCH_mc.json" >/dev/null 2>&1
+echo "==> smoke: mck mc-bench"
+"$mck" mc-bench --out-dir "$out_dir" >/dev/null 2>&1
 "$mck" inspect "$out_dir/BENCH_mc.json" | grep -q "mck.bench_mc/v1"
 
 # Non-gating bench smoke: time the figure grid through the parallel sweep
 # executor and emit the mck.bench_sweep/v1 artifact. Wall-clock numbers
 # are host-dependent, so a failure here warns instead of failing CI.
-echo "==> smoke: figures sweep-bench (non-gating)"
-if "$figures" sweep-bench --reps 1 \
-        --json "$out_dir/BENCH_sweep.json" >/dev/null 2>&1 \
+echo "==> smoke: mck sweep-bench (non-gating)"
+if "$mck" sweep-bench --reps 1 \
+        --out-dir "$out_dir" >/dev/null 2>&1 \
     && "$mck" inspect "$out_dir/BENCH_sweep.json" \
         | grep -q "mck.bench_sweep/v1"; then
     "$mck" inspect "$out_dir/BENCH_sweep.json"
@@ -346,9 +346,9 @@ fi
 # enforces the 2x events/sec floor at N=10^4 with 4 workers. On hosts
 # without the cores to make 2x physically achievable the gate reports
 # and skips instead of failing; the byte-identity assertion always runs.
-echo "==> smoke: figures par-bench --check-regression (N=10^4, 4 workers)"
+echo "==> smoke: mck par-bench --check-regression (N=10^4, 4 workers)"
 mkdir -p "$out_dir/par_bench"
-"$figures" par-bench --n-list 1000,10000 --workers 4 --check-regression \
+"$mck" par-bench --n-list 1000,10000 --par-workers 4 --check-regression \
     --out-dir "$out_dir/par_bench" >/dev/null
 "$mck" inspect "$out_dir/par_bench/BENCH_par.json" | grep -q "mck.bench_par/v1"
 

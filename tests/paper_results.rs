@@ -3,8 +3,7 @@
 //! Absolute numbers depend on the substrate, but the *shape* of the results
 //! must hold: who wins, in which environments, and how the curves move with
 //! `T_switch`. These tests use reduced horizons/replications so the full
-//! suite stays fast; the bench harness (`cargo run -p mck-bench --bin
-//! figures`) reproduces the full-scale figures.
+//! suite stays fast; `mck fig all` reproduces the full-scale figures.
 
 use mck::prelude::*;
 

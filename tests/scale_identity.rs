@@ -56,15 +56,17 @@ fn artifact_text(protocol: ProtocolChoice) -> String {
 /// trait-based rows captured on the tree *before* the SoA + cell-local
 /// refactor landed, the three coordinated rows on the tree before
 /// Chandy–Lamport, Prakash–Singhal and Koo–Toueg moved behind
-/// `cic::Protocol`.
+/// `cic::Protocol`, re-captured when their `config` gained the
+/// `"round_interval": 100` line (each text differs from the earlier pin by
+/// exactly that line: 27 bytes).
 const GOLDEN: [(ProtocolChoice, usize, u64); 7] = [
     (ProtocolChoice::Cic(CicKind::Tp), 1263, 0x853ce57be2519116),
     (ProtocolChoice::Cic(CicKind::Bcs), 1260, 0x969701d1cd827ccd),
     (ProtocolChoice::Cic(CicKind::Qbc), 1260, 0x0651c514152f5ac4),
     (ProtocolChoice::Cic(CicKind::Uncoordinated), 1264, 0x9339fe364dd04836),
-    (ProtocolChoice::ChandyLamport { interval: 100.0 }, 5454, 0x1b3d11794e0fd746),
-    (ProtocolChoice::PrakashSinghal { interval: 100.0 }, 3751, 0x63dc39380be8c12a),
-    (ProtocolChoice::KooToueg { interval: 100.0 }, 3740, 0xe6aa4cb3e32f768d),
+    (ProtocolChoice::ChandyLamport { interval: 100.0 }, 5481, 0x40e1baa7d7302e75),
+    (ProtocolChoice::PrakashSinghal { interval: 100.0 }, 3778, 0xac3a468a590c2653),
+    (ProtocolChoice::KooToueg { interval: 100.0 }, 3767, 0xfe37f2b93b29345a),
 ];
 
 #[test]
