@@ -6,7 +6,6 @@
 //! protocol implementations in the `cic` crate can be **verified** against
 //! it rather than trusted:
 //!
-//! * [`clock`] — Lamport and vector clocks;
 //! * [`trace`] — recorded computation traces (checkpoints + message
 //!   intervals);
 //! * [`cut`] — global checkpoints, orphan detection, consistency, and the
@@ -39,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod cut;
 pub mod online;
 pub mod recovery;
@@ -48,7 +46,6 @@ pub mod textio;
 pub mod trace;
 pub mod zpath;
 
-pub use clock::{CausalOrder, LamportClock, VectorClock};
 pub use cut::{
     is_consistent, latest_recovery_line, max_consistent_cut_below,
     max_consistent_cut_containing, orphans, Cut,

@@ -84,12 +84,7 @@ impl ReceiveOutcome {
 }
 
 /// A communication-induced checkpointing protocol instance for one host.
-///
-/// `Send` is a supertrait so boxed protocol state can migrate between the
-/// parallel runner's worker threads when a hand-off moves a host across a
-/// partition boundary; protocol state is plain data, so every
-/// implementation satisfies it for free.
-pub trait Protocol: Send {
+pub trait Protocol {
     /// Short protocol name as used in the paper's figures ("TP", "BCS",
     /// "QBC", …).
     fn name(&self) -> &'static str;

@@ -1,9 +1,9 @@
-//! The benchmark commands: `sweep-bench`, `serve-bench`, `mc-bench`,
-//! `par-bench` and `scale`. Each writes one `BENCH_<x>.json` artifact into
-//! `--out-dir` (default the working directory) whose host-dependent
-//! quantities live under `timing` members, so `mck inspect --deterministic`
-//! of two same-seed runs is byte-identical. Progress goes to stderr; a
-//! failed gate prints the table and artifact line, then exits non-zero.
+//! The benchmark commands: `sweep-bench`, `serve-bench`, `mc-bench` and
+//! `scale`. Each writes one `BENCH_<x>.json` artifact into `--out-dir`
+//! (default the working directory) whose host-dependent quantities live
+//! under `timing` members, so `mck inspect --deterministic` of two
+//! same-seed runs is byte-identical. Progress goes to stderr; a failed gate
+//! prints the table and artifact line, then exits non-zero.
 
 use std::time::Instant;
 
@@ -15,14 +15,14 @@ use simkit::json::Json;
 use simkit::span::SpanSnapshot;
 
 use crate::args::{ArgError, Args};
-use crate::{gated, parallel_of, render, write_artifact};
+use crate::{gated, render, write_artifact};
 
 /// Writes a bench artifact as `--out-dir`/`name`.
 fn write_bench(args: &Args, name: &str, what: &str, doc: &Json) -> Result<String, ArgError> {
     write_artifact(args.get("out-dir").unwrap_or("."), name, what, doc)
 }
 
-/// `--n-list a,b,c`: the host populations `scale` and `par-bench` sweep.
+/// `--n-list a,b,c`: the host populations `scale` sweeps.
 fn n_list_of(args: &Args) -> Result<Vec<u64>, ArgError> {
     args.get_list("n-list", &[10, 100, 1000, 10_000])
 }
@@ -332,151 +332,6 @@ pub fn mc_bench(args: &Args) -> Result<String, ArgError> {
         ("points".into(), Json::Arr(points)),
     ]);
     Ok(render(args, &table, "") + &write_bench(args, "BENCH_mc.json", "mc-bench", &doc)?)
-}
-
-/// `mck par-bench`: the serial heap scheduler against the conservative
-/// cell-partitioned parallel backend (`--par-workers N`, default 4) at each
-/// `--n-list` population. Both runs must produce byte-identical
-/// `mck.run/v1` artifacts (the backend's exactness contract — the bench
-/// aborts on any divergence); the `mck.bench_par/v1` artifact records the
-/// wall-clock comparison with every host-dependent quantity quarantined
-/// under `timing`. `--check-regression` fails when the speedup at the
-/// largest N falls below `--min-speedup` (default 2.0).
-pub fn par_bench(args: &Args) -> Result<String, ArgError> {
-    let seed = args.get_u64("seed", 1)?;
-    let horizon = args.get_f64("horizon", 25.0)?;
-    let mss_ratio = mss_ratio_of(args)?;
-    let workers = parallel_of(args)?.unwrap_or(4);
-    let proto = CicKind::Qbc;
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-    let mut points: Vec<Json> = Vec::new();
-    let mut gate_point: Option<(u64, f64)> = None;
-    let mut table = Table::new(vec![
-        "n_mh",
-        "n_mss",
-        "events",
-        "serial ev/s",
-        "parallel ev/s",
-        "speedup",
-    ]);
-    for n in n_list_of(args)? {
-        let n_mss = (n / mss_ratio).max(2);
-        let cfg = SimConfig {
-            protocol: ProtocolChoice::Cic(proto),
-            n_mhs: n as usize,
-            n_mss: n_mss as usize,
-            horizon,
-            seed,
-            ..SimConfig::default()
-        };
-        let instr = || Instrumentation {
-            metrics: true,
-            profile: true,
-            ..Instrumentation::off()
-        };
-        eprintln!(
-            "par-bench: {} at n_mh={n}, n_mss={n_mss}, horizon={horizon}: serial...",
-            proto.name()
-        );
-        let t0 = Instant::now();
-        let serial = Simulation::run_with(cfg.clone(), instr());
-        let serial_ms = t0.elapsed().as_secs_f64() * 1e3;
-        eprintln!("par-bench: parallel x{workers}...");
-        let t1 = Instant::now();
-        let parallel = pardes::run(cfg.clone(), workers, instr());
-        let parallel_ms = t1.elapsed().as_secs_f64() * 1e3;
-        let serial_fp = artifact::run_artifact(&cfg, &serial).to_pretty();
-        let parallel_fp = artifact::run_artifact(&cfg, &parallel).to_pretty();
-        assert!(
-            serial_fp == parallel_fp,
-            "par-bench: serial and parallel artifacts diverged at n_mh={n} (seed {seed})"
-        );
-        let serial_eps = serial.profile.as_ref().expect("profiled run").events_per_sec();
-        let parallel_eps = parallel.profile.as_ref().expect("profiled run").events_per_sec();
-        let speedup = parallel_eps / serial_eps.max(1e-9);
-        if gate_point.is_none_or(|(m, _)| n >= m) {
-            gate_point = Some((n, speedup));
-        }
-        table.push_row(vec![
-            n.to_string(),
-            n_mss.to_string(),
-            serial.events.to_string(),
-            format!("{serial_eps:.0}"),
-            format!("{parallel_eps:.0}"),
-            format!("{speedup:.2}"),
-        ]);
-        points.push(Json::Obj(vec![
-            ("n_mh".into(), Json::uint(n)),
-            ("n_mss".into(), Json::uint(n_mss)),
-            ("workers".into(), Json::uint(workers as u64)),
-            ("events".into(), Json::uint(serial.events)),
-            ("n_tot".into(), Json::uint(serial.n_tot())),
-            (
-                "timing".into(),
-                Json::Obj(vec![
-                    ("serial_wall_ms".into(), Json::Num(serial_ms)),
-                    ("parallel_wall_ms".into(), Json::Num(parallel_ms)),
-                    ("serial_events_per_sec".into(), Json::Num(serial_eps)),
-                    ("parallel_events_per_sec".into(), Json::Num(parallel_eps)),
-                    ("speedup".into(), Json::Num(speedup)),
-                ]),
-            ),
-        ]));
-    }
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::str(artifact::BENCH_PAR_SCHEMA)),
-        ("version".into(), Json::str(artifact::version())),
-        ("protocol".into(), Json::str(proto.name())),
-        ("base_seed".into(), Json::uint(seed)),
-        ("horizon".into(), Json::Num(horizon)),
-        ("mss_ratio".into(), Json::uint(mss_ratio)),
-        ("workers".into(), Json::uint(workers as u64)),
-        ("byte_identical".into(), Json::Bool(true)),
-        ("points".into(), Json::Arr(points)),
-        (
-            "timing".into(),
-            Json::Obj(vec![("cores".into(), Json::uint(cores as u64))]),
-        ),
-    ]);
-    let out = render(args, &table, "") + &write_bench(args, "BENCH_par.json", "par-bench", &doc)?;
-    let verdict = if args.flag("check-regression") {
-        let min = args.get_f64("min-speedup", 2.0)?;
-        check_par_regression(gate_point, workers, cores, min)
-    } else {
-        Ok(())
-    };
-    gated(out, verdict)
-}
-
-/// Enforces the parallel-backend speedup floor at the largest measured N.
-/// The floor only makes sense when the host can physically achieve it: a
-/// 4-worker run on a single core can never beat serial, so the check is
-/// reported and skipped (not failed) when `min(workers, cores)` is below
-/// the floor.
-fn check_par_regression(
-    point: Option<(u64, f64)>,
-    workers: usize,
-    cores: usize,
-    min: f64,
-) -> Result<(), ArgError> {
-    let Some((n, speedup)) = point else {
-        eprintln!("par-bench: --check-regression needs at least one point");
-        return Ok(());
-    };
-    if (workers.min(cores) as f64) < min {
-        eprintln!(
-            "par-bench regression check SKIPPED: host has {cores} core(s) for {workers} \
-             worker(s); a {min:.1}x speedup is not achievable here (measured {speedup:.2}x)"
-        );
-        return Ok(());
-    }
-    if speedup < min {
-        return Err(ArgError(format!(
-            "par-bench REGRESSION: parallel speedup at N={n} is {speedup:.2}x; floor is {min:.1}x"
-        )));
-    }
-    eprintln!("par-bench regression check: {speedup:.2}x at N={n} (floor {min:.1}x) — ok");
-    Ok(())
 }
 
 /// `mck scale`: one spanned + profiled run per host population, sweeping

@@ -10,6 +10,8 @@
 //! parameters. Explicit flags still win over the scenario. Every command
 //! takes `--jobs N` and rejects any other flag it does not read.
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod bench;
 
@@ -21,14 +23,19 @@ use simkit::json::Json;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(&raw) {
+    // Only a command line that does not parse earns the usage text; a
+    // handler's error (a failed gate, a verdict, a bad value) is one line.
+    let (handler, args) = parse(&raw).unwrap_or_else(|e| fail(&format!("{e}\n{}", usage())));
+    match execute(handler, &args) {
         Ok(output) => print!("{output}"),
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("{}", usage());
-            std::process::exit(2);
-        }
+        Err(e) => fail(&e.0),
     }
+}
+
+/// Prints `error: {msg}` and exits with status 2.
+fn fail(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 fn usage() -> &'static str {
@@ -53,14 +60,10 @@ benchmarks (each writes BENCH_<x>.json into --out-dir DIR, default the working d
   mck sweep-bench [--reps R] [--seed S]
   mck serve-bench [--warm N] [--min-speedup X]
   mck mc-bench    [--seed S] [--csv]
-  mck par-bench   [--n-list a,b,c] [--horizon T] [--mss-ratio R] [--par-workers N] [--seed S] [--csv]
-                  [--check-regression] [--min-speedup X]
   mck scale       [--n-list a,b,c] [--horizon T] [--mss-ratio R] [--seed S] [--csv] [--check-regression]
 every command: --jobs N (worker threads; default MCK_JOBS or all cores)
 run/fig: --cache-dir DIR (content-addressed result cache; warm requests replay
                           stored artifact bytes verbatim)
-run/profile: --par-workers N (N conservative cell-partitioned workers; results
-                              are identical to the serial run)
 run/profile/sweep: --pb-codec dense|rle (TP vector piggyback wire codec; trajectory is identical)
 run/profile/sweep/fig: --scenario FILE (mck.scenario/v1 environment + parameter overrides;
                                         explicit flags still win)
@@ -116,14 +119,14 @@ const COMMANDS: &[Command] = &[
         "one simulation run (--metrics: mck.run/v1, --trace: event stream)",
         cmd_run,
         true,
-        &["t-switch", "trace", "metrics", "profile", "progress", "par-workers", "cache-dir"],
+        &["t-switch", "trace", "metrics", "profile", "progress", "cache-dir"],
     ),
     (
         "profile",
         "instrumented run: mck.profile/v1 span attribution, folded stacks, Prometheus text",
         cmd_profile,
         true,
-        &["t-switch", "out", "folded", "prom", "progress", "par-workers"],
+        &["t-switch", "out", "folded", "prom", "progress"],
     ),
     (
         "sweep",
@@ -240,23 +243,6 @@ const COMMANDS: &[Command] = &[
         &["seed", "csv", "out-dir"],
     ),
     (
-        "par-bench",
-        "serial vs. parallel backend, byte parity and speedup (BENCH_par.json)",
-        bench::par_bench,
-        false,
-        &[
-            "n-list",
-            "horizon",
-            "mss-ratio",
-            "par-workers",
-            "seed",
-            "csv",
-            "out-dir",
-            "check-regression",
-            "min-speedup",
-        ],
-    ),
-    (
         "scale",
         "throughput and bytes/host across host counts (BENCH_scale.json)",
         bench::scale,
@@ -292,13 +278,12 @@ fn parse(raw: &[String]) -> Result<(Handler, Args), ArgError> {
     Ok((handler, Args::parse(raw, &reads, BOOLEAN)?))
 }
 
-/// Routes a raw command line to a handler, returning its printable output.
-fn dispatch(raw: &[String]) -> Result<String, ArgError> {
-    let (handler, args) = parse(raw)?;
+/// Runs a parsed command line, returning its printable output.
+fn execute(handler: Handler, args: &Args) -> Result<String, ArgError> {
     // --jobs applies to every experiment command; 0 (the default) keeps the
     // MCK_JOBS / available-parallelism resolution.
     set_jobs(args.get_usize("jobs", 0)?);
-    handler(&args)
+    handler(args)
 }
 
 fn protocol_of(args: &Args) -> Result<ProtocolChoice, ArgError> {
@@ -306,20 +291,6 @@ fn protocol_of(args: &Args) -> Result<ProtocolChoice, ArgError> {
     CicKind::parse(name)
         .map(ProtocolChoice::Cic)
         .ok_or_else(|| ArgError(format!("unknown protocol '{name}'")))
-}
-
-/// `--par-workers N` selects the conservative cell-partitioned backend
-/// with `N` workers (run and profile only); without it the run is serial.
-/// The backends are byte-identical by construction, so cached artifacts
-/// are shared between them.
-fn parallel_of(args: &Args) -> Result<Option<usize>, ArgError> {
-    if args.get("par-workers").is_none() {
-        return Ok(None);
-    }
-    match args.get_usize("par-workers", 0)? {
-        0 => Err(ArgError("--par-workers must be at least 1".into())),
-        n => Ok(Some(n)),
-    }
 }
 
 fn logging_of(args: &Args) -> Result<LoggingMode, ArgError> {
@@ -393,10 +364,7 @@ fn cmd_run(args: &Args) -> Result<String, ArgError> {
     instr.profile = args.flag("profile");
     instr.progress = args.flag("progress");
 
-    let r = match parallel_of(args)? {
-        Some(workers) => pardes::run(cfg.clone(), workers, instr),
-        None => Simulation::run_with(cfg.clone(), instr),
-    };
+    let r = Simulation::run_with(cfg.clone(), instr);
     let mut out = r.summary_table().render();
     if let Some(path) = &metrics_path {
         let art = mck::artifact::run_artifact(&cfg, &r);
@@ -441,10 +409,7 @@ fn cmd_run_cached(args: &Args, dir: &str) -> Result<String, ArgError> {
                 progress: args.flag("progress"),
                 ..Instrumentation::off()
             };
-            let r = match parallel_of(args)? {
-                Some(workers) => pardes::run(cfg.clone(), workers, instr),
-                None => Simulation::run_with(cfg.clone(), instr),
-            };
+            let r = Simulation::run_with(cfg.clone(), instr);
             let bytes =
                 servekit::server::artifact_bytes(&mck::artifact::run_artifact(&cfg, &r));
             cache
@@ -481,10 +446,7 @@ fn cmd_profile(args: &Args) -> Result<String, ArgError> {
         progress: args.flag("progress"),
         ..Instrumentation::off()
     };
-    let r = match parallel_of(args)? {
-        Some(workers) => pardes::run(cfg.clone(), workers, instr),
-        None => Simulation::run_with(cfg.clone(), instr),
-    };
+    let r = Simulation::run_with(cfg.clone(), instr);
     let art = mck::artifact::profile_artifact(&cfg, &r);
     mck::artifact::write(&out_path, &art)
         .map_err(|e| ArgError(format!("--out {}: {e}", out_path.display())))?;
@@ -1382,6 +1344,12 @@ mod tests {
         v.iter().map(|s| s.to_string()).collect()
     }
 
+    /// Routes a raw command line to a handler, as `main` does.
+    fn dispatch(raw: &[String]) -> Result<String, ArgError> {
+        let (handler, args) = parse(raw)?;
+        execute(handler, &args)
+    }
+
     #[test]
     fn list_shows_all_figures() {
         let out = cmd_list();
@@ -1481,8 +1449,6 @@ mod tests {
         assert!(dispatch(&raw(&[])).is_err());
         assert!(dispatch(&raw(&["run", "--protocol", "XXX"])).is_err());
         assert!(dispatch(&raw(&["run", "--queue", "heap"])).is_err());
-        assert!(dispatch(&raw(&["run", "--par-workers", "0"])).is_err());
-        assert!(dispatch(&raw(&["sweep", "--par-workers", "2"])).is_err());
         assert!(dispatch(&raw(&["run", "--pb-codec", "huffman"])).is_err());
         assert!(dispatch(&raw(&["run", "--logging", "eager"])).is_err());
         assert!(dispatch(&raw(&["run", "--fail-mtbf", "-5"])).is_err());
@@ -1590,7 +1556,7 @@ mod tests {
     }
 
     #[test]
-    fn jobs_and_par_workers_flags_leave_results_unchanged() {
+    fn jobs_flag_leaves_results_unchanged() {
         let base = &[
             "run",
             "--protocol",
@@ -1600,15 +1566,12 @@ mod tests {
             "--t-switch",
             "100",
         ];
-        let serial = dispatch(&raw(base)).unwrap();
-        let mut with_flags = raw(base);
-        with_flags.extend(raw(&["--par-workers", "2", "--jobs", "2"]));
-        let parallel = dispatch(&with_flags).unwrap();
+        let default = dispatch(&raw(base)).unwrap();
+        let mut with_jobs = raw(base);
+        with_jobs.extend(raw(&["--jobs", "2"]));
+        let two_jobs = dispatch(&with_jobs).unwrap();
         set_jobs(0); // restore for other tests
-        assert_eq!(
-            serial, parallel,
-            "the parallel backend must not change results"
-        );
+        assert_eq!(default, two_jobs, "the job count must not change results");
     }
 
     #[test]

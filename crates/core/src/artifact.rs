@@ -91,11 +91,6 @@ pub const MC_SCHEMA: &str = "mck.mc/v1";
 /// Schema tag of the model-checking throughput benchmark
 /// (`mck mc-bench`, conventionally `BENCH_mc.json`).
 pub const BENCH_MC_SCHEMA: &str = "mck.bench_mc/v1";
-/// Schema tag of the serial-vs-parallel backend benchmark
-/// (`mck par-bench`, conventionally `BENCH_par.json`): per-N wall
-/// clock and events/sec for the heap scheduler against the conservative
-/// cell-partitioned backend, plus the byte-identity verdict.
-pub const BENCH_PAR_SCHEMA: &str = "mck.bench_par/v1";
 
 /// The simulator version stamped into every artifact.
 pub fn version() -> &'static str {
@@ -722,30 +717,6 @@ pub fn validate(v: &Json) -> Result<&str, String> {
                 }
             }
         }
-        BENCH_PAR_SCHEMA => {
-            v.get("byte_identical")
-                .and_then(Json::as_bool)
-                .ok_or("par bench missing 'byte_identical'")?;
-            let points = v
-                .get("points")
-                .and_then(Json::as_arr)
-                .ok_or("par bench artifact missing 'points' array")?;
-            if points.is_empty() {
-                return Err("par bench artifact has no points".into());
-            }
-            for p in points {
-                p.get("n_mh")
-                    .and_then(Json::as_u64)
-                    .ok_or("par bench point missing 'n_mh'")?;
-                p.get("workers")
-                    .and_then(Json::as_u64)
-                    .ok_or("par bench point missing 'workers'")?;
-                p.get("timing")
-                    .and_then(|t| t.get("speedup"))
-                    .and_then(Json::as_f64)
-                    .ok_or("par bench point missing timing.speedup")?;
-            }
-        }
         BENCH_MC_SCHEMA => {
             let points = v
                 .get("points")
@@ -1150,41 +1121,6 @@ pub fn describe(v: &Json) -> Result<String, String> {
                 }
                 _ => out += "verdict  no violation within the bound\n",
             }
-        }
-        BENCH_PAR_SCHEMA => {
-            out += &format!(
-                "workers  {}\nbyte-identical: {}\n",
-                v.get("workers").and_then(Json::as_u64).unwrap_or(0),
-                v.get("byte_identical").and_then(Json::as_bool).unwrap_or(false),
-            );
-            let points = v.get("points").and_then(Json::as_arr).expect("validated");
-            let mut t = crate::table::Table::new(vec![
-                "n_mh", "n_mss", "events", "serial ev/s", "parallel ev/s", "speedup",
-            ]);
-            for p in points {
-                let uint = |k: &str| {
-                    p.get(k)
-                        .and_then(Json::as_u64)
-                        .map(|x| x.to_string())
-                        .unwrap_or_else(|| "?".into())
-                };
-                let timing = |k: &str, prec: usize| {
-                    p.get("timing")
-                        .and_then(|t| t.get(k))
-                        .and_then(Json::as_f64)
-                        .map(|x| format!("{x:.prec$}"))
-                        .unwrap_or_else(|| "?".into())
-                };
-                t.push_row(vec![
-                    uint("n_mh"),
-                    uint("n_mss"),
-                    uint("events"),
-                    timing("serial_events_per_sec", 0),
-                    timing("parallel_events_per_sec", 0),
-                    timing("speedup", 2),
-                ]);
-            }
-            out += &t.render();
         }
         BENCH_MC_SCHEMA => {
             let points = v.get("points").and_then(Json::as_arr).expect("validated");

@@ -38,7 +38,7 @@ use mobnet::{
     Mailboxes, MhId, MssId, NetMetrics, PacketId, Queued, Topology,
 };
 use relog::MessageLog;
-use scenario::{BuiltEnv, MobilityModel, MobilitySpec, TrafficModel};
+use scenario::{BuiltEnv, MobilityModel, TrafficModel};
 use simkit::metrics::GaugeId;
 use simkit::prelude::*;
 use simkit::trace::CkptClass;
@@ -263,10 +263,6 @@ pub struct Simulation {
     msgs_sent: u64,
     msgs_delivered: u64,
     blocked_sends: u64,
-    /// Parallel-execution context, `Some` only inside a `pardes` worker
-    /// replica. `None` — the default everywhere else — keeps every serial
-    /// path byte-identical and branch-predictable.
-    par: Option<Box<ParCtx>>,
 }
 
 impl Simulation {
@@ -358,7 +354,6 @@ impl Simulation {
             msgs_sent: 0,
             msgs_delivered: 0,
             blocked_sends: 0,
-            par: None,
             cfg,
         };
 
@@ -441,11 +436,6 @@ impl Simulation {
         if instr.spans {
             self.spans = SpanProfiler::enabled();
         }
-    }
-
-    /// The span profiler handle (cheap clone; disabled unless attached).
-    pub fn spans(&self) -> SpanProfiler {
-        self.spans.clone()
     }
 
     fn into_report(
@@ -962,7 +952,6 @@ impl Simulation {
             for _ in 0..handoff.control_msgs {
                 self.metrics.charge_wireless(mh, CONTROL_BYTES);
             }
-            self.par_record_move(mh, now.as_f64(), new_cell);
             self.loc.update(mh, new_cell);
             self.metrics.wired_hops += self.mailboxes.relocate(mh, new_cell);
             // The surviving log follows the host so a later failure finds
@@ -1013,7 +1002,6 @@ impl Simulation {
         let was_buffering = self.attach.reconnect(mh, cell);
         self.metrics.control_msgs += 1;
         self.metrics.charge_wireless(mh, CONTROL_BYTES);
-        self.par_record_move(mh, now.as_f64(), cell);
         self.loc.update(mh, cell);
         if was_buffering != cell {
             self.metrics.wired_hops += self.mailboxes.relocate(mh, cell);
@@ -1108,23 +1096,6 @@ impl Simulation {
             from: mh,
             payload: AppPayload { pb },
         };
-        // Parallel run, destination owned by a peer partition: this
-        // replica's directory row for `dest` may be stale, so the wired leg
-        // cannot be priced here. Defer it to the destination's owner at the
-        // window barrier — the lookup and admission above already charged
-        // exactly what the serial path charges.
-        if let Some(par) = &mut self.par {
-            if par.owner[dest.idx()] != par.me {
-                par.outbox.push(CrossSend {
-                    sent_at: now.as_f64(),
-                    src_mss,
-                    dest,
-                    base_latency: self.topo.wireless_latency() + admission.completion_delay,
-                    q,
-                });
-                return;
-            }
-        }
         let mut latency = self.topo.wireless_latency() + admission.completion_delay;
         if src_mss != dst_mss {
             latency += self.topo.wired_latency(src_mss, dst_mss);
@@ -1315,7 +1286,6 @@ impl Clone for Simulation {
             msgs_sent: self.msgs_sent,
             msgs_delivered: self.msgs_delivered,
             blocked_sends: self.blocked_sends,
-            par: None,
         }
     }
 }
@@ -1601,364 +1571,6 @@ impl Simulation {
     pub fn map_protocols(&mut self, wrap: impl FnMut(Box<dyn Protocol>) -> Box<dyn Protocol>) {
         let protos = std::mem::take(&mut self.protos);
         self.protos = protos.into_iter().map(wrap).collect();
-    }
-}
-
-// -- parallel-execution support -----------------------------------------------
-//
-// The conservative parallel runner (`crates/pardes`) partitions the world by
-// MSS cell — partition of cell `c` is `c % n_parts` — and gives each worker a
-// *full replica* of the simulation that only fires events for the hosts it
-// owns. Ownership of a host is the partition of its responsible cell, frozen
-// at window barriers: a host that roams into a foreign-owned cell mid-window
-// stays with its old owner until the barrier, which is safe because (with the
-// unlimited bandwidth the compatibility gate requires) nothing any other host
-// observes depends on which replica fires its events.
-//
-// The only cross-partition reads in the hot loop are the location-directory
-// lookup and the mailbox enqueue of a send to a foreign-owned destination.
-// `do_send` defers both: it charges the uplink exactly as the serial path
-// does, then parks the message in the window outbox as a [`CrossSend`]. The
-// destination's owner resolves the wired leg at the barrier against its
-// per-window movement history, reproducing the serial directory's view at
-// the send instant byte for byte. The window length is bounded by the
-// wireless latency (every delivery is at least one wireless hop away), so a
-// message sent in window `w` is always delivered in a window `> w`.
-//
-// Everything the runner needs lives here, next to the private state it
-// moves: the per-worker context, host hand-off slices, outbox resolution and
-// the end-of-run merge.
-
-/// Per-worker parallel context (present only inside `pardes` workers).
-struct ParCtx {
-    /// This worker's partition index.
-    me: u32,
-    /// Total partitions.
-    n_parts: u32,
-    /// Owning partition of each host, updated at window barriers only.
-    owner: Vec<u32>,
-    /// Sends to foreign-owned destinations parked during this window.
-    outbox: Vec<CrossSend>,
-    /// Per-host cell-movement history within the current window, seeded
-    /// lazily with `(-inf, cell at window start)` on a host's first move.
-    /// Only owned hosts appear; cleared at the window barrier.
-    hist: std::collections::HashMap<usize, Vec<(f64, MssId)>>,
-}
-
-/// A send whose destination another partition owns: the uplink is already
-/// charged; the wired leg and delivery are resolved by the owner at the
-/// window barrier. Opaque outside this module.
-pub struct CrossSend {
-    sent_at: f64,
-    src_mss: MssId,
-    dest: MhId,
-    /// Wireless latency plus any channel-admission delay.
-    base_latency: f64,
-    q: Queued<AppPayload>,
-}
-
-/// Everything host-private that must follow a host to its new owning
-/// partition: protocol state, RNG substreams, attachment, mailbox queue,
-/// latest stored checkpoint, directory row, window movement history and the
-/// host's pending events. Opaque outside this module.
-pub struct HostSlice {
-    proto: Box<dyn Protocol>,
-    workload_rng: SimRng,
-    mobility_rng: SimRng,
-    activity_gen: u32,
-    attachment: mobnet::Attachment,
-    holder: MssId,
-    queue: std::collections::VecDeque<Queued<AppPayload>>,
-    store_last: Option<mobnet::StoredCkpt>,
-    loc: MssId,
-    hist: Vec<(f64, MssId)>,
-    pending: Vec<(SimTime, Ev)>,
-}
-
-/// One host changing partitions at a window barrier. Every worker applies
-/// the ownership update; only the new owner takes the slice.
-pub struct Migration {
-    mh: MhId,
-    new_part: u32,
-    slice: Option<HostSlice>,
-}
-
-/// The simulated host an event belongs to, or `None` for global events
-/// (which the compatibility gate keeps out of parallel runs).
-fn ev_owner_host(ev: &Ev) -> Option<usize> {
-    match ev {
-        Ev::Activity { mh, .. }
-        | Ev::Mobility { mh, .. }
-        | Ev::Reconnect { mh }
-        | Ev::Periodic { mh }
-        | Ev::Crash { mh }
-        | Ev::Recovered { mh } => Some(mh.idx()),
-        Ev::Deliver { to, .. } | Ev::DeliverCtl { to, .. } => Some(to.idx()),
-        Ev::CoordRound | Ev::MssCrash { .. } => None,
-    }
-}
-
-impl Simulation {
-    /// Whether `cfg` can run under the conservative parallel backend with
-    /// byte-identical results. The gate requires:
-    ///
-    /// * a CIC protocol — the coordinated baselines run global rounds
-    ///   from one shared round timer;
-    /// * no failure injection and no causality trace — recovery planning
-    ///   reads a global trace;
-    /// * no transport duplication — the duplicate draw consumes the shared
-    ///   network RNG;
-    /// * no message logging — a global store;
-    /// * unlimited wireless bandwidth — a finite channel makes same-cell
-    ///   senders observably interact through admission delays;
-    /// * a positive wireless latency — it is the lookahead bounding the
-    ///   window length;
-    /// * non-trace mobility — trace replay keeps per-host cursors inside
-    ///   the model, which a replica of a foreign host would desynchronize.
-    pub fn parallel_compatible(cfg: &SimConfig) -> bool {
-        matches!(cfg.protocol, ProtocolChoice::Cic(_))
-            && !cfg.failures_enabled()
-            && !cfg.record_trace
-            && cfg.dup_prob == 0.0
-            && !cfg.logging.is_enabled()
-            && cfg.wireless_bandwidth.is_infinite()
-            && cfg.latencies.wireless > 0.0
-            && !matches!(cfg.env.mobility, MobilitySpec::Trace { .. })
-    }
-
-    /// Turns a freshly built replica into parallel worker `me` of
-    /// `n_parts`: computes the initial ownership map from the hosts'
-    /// placement and strips every pending bootstrap event owned by a peer.
-    ///
-    /// # Panics
-    /// Panics if the configuration fails [`Simulation::parallel_compatible`]
-    /// or the scheduler is not heap-backed.
-    pub fn par_install(&mut self, sched: &mut Scheduler<Ev>, me: u32, n_parts: u32) {
-        assert!(
-            Self::parallel_compatible(&self.cfg),
-            "par_install: configuration is not parallel-compatible"
-        );
-        let owner: Vec<u32> = (0..self.cfg.n_mhs)
-            .map(|i| (self.loc.peek(MhId(i)).idx() as u32) % n_parts)
-            .collect();
-        let _stripped =
-            sched.extract_where(|ev| ev_owner_host(ev).is_some_and(|h| owner[h] != me));
-        self.par = Some(Box::new(ParCtx {
-            me,
-            n_parts,
-            owner,
-            outbox: Vec::new(),
-            hist: std::collections::HashMap::new(),
-        }));
-    }
-
-    /// Records an owned host's cell change into the window movement history
-    /// (no-op in serial runs). Must run *before* the directory update so the
-    /// lazy seed captures the cell at window start.
-    fn par_record_move(&mut self, mh: MhId, now: f64, new_cell: MssId) {
-        if self.par.is_none() {
-            return;
-        }
-        let prev = self.loc.peek(mh);
-        let par = self.par.as_mut().expect("checked above");
-        par.hist
-            .entry(mh.idx())
-            .or_insert_with(|| vec![(f64::NEG_INFINITY, prev)])
-            .push((now, new_cell));
-    }
-
-    /// Drains this window's deferred cross-partition sends.
-    pub fn par_take_outbox(&mut self) -> Vec<CrossSend> {
-        std::mem::take(&mut self.par.as_mut().expect("parallel context installed").outbox)
-    }
-
-    /// Detaches every owned host whose responsible cell now belongs to a
-    /// peer partition, in ascending host order. The host's pending events
-    /// (all at or beyond the window end — the window ran to completion) are
-    /// extracted in `(time, seq)` order and travel with the slice.
-    pub fn par_migrations(&mut self, sched: &mut Scheduler<Ev>) -> Vec<Migration> {
-        let par = self.par.as_ref().expect("parallel context installed");
-        let (me, n_parts) = (par.me, par.n_parts);
-        // Only hosts that moved this window can have changed cells, and
-        // `hist` records exactly the owned movers.
-        let mut movers: Vec<usize> = par.hist.keys().copied().collect();
-        movers.sort_unstable();
-        let mut out = Vec::new();
-        for i in movers {
-            let mh = MhId(i);
-            let new_part = (self.loc.peek(mh).idx() as u32) % n_parts;
-            if new_part == me {
-                continue;
-            }
-            let pending = sched.extract_where(|ev| ev_owner_host(ev) == Some(i));
-            let hist = self
-                .par
-                .as_mut()
-                .expect("parallel context installed")
-                .hist
-                .remove(&i)
-                .expect("movers come from hist keys");
-            let (holder, queue) = self.mailboxes.take_queue(mh);
-            out.push(Migration {
-                mh,
-                new_part,
-                slice: Some(HostSlice {
-                    proto: self.protos[i].clone(),
-                    workload_rng: self.workload_rng[i].clone(),
-                    mobility_rng: self.mobility_rng[i].clone(),
-                    activity_gen: self.activity_gen[i],
-                    attachment: self.attach.attachment(mh),
-                    holder,
-                    queue,
-                    store_last: self.store.latest(mh),
-                    loc: self.loc.peek(mh),
-                    hist,
-                    pending,
-                }),
-            });
-        }
-        out
-    }
-
-    /// Applies one worker's barrier migration records: every worker updates
-    /// its ownership map; the new owner additionally installs the slice
-    /// (including the host's movement history, still needed to resolve this
-    /// window's cross-sends) and re-schedules the host's pending events.
-    pub fn par_apply_migrations(&mut self, sched: &mut Scheduler<Ev>, migs: &mut [Migration]) {
-        for m in migs {
-            let i = m.mh.idx();
-            let me = {
-                let par = self.par.as_mut().expect("parallel context installed");
-                par.owner[i] = m.new_part;
-                par.me
-            };
-            if m.new_part != me {
-                continue;
-            }
-            let slice = m.slice.take().expect("exactly one worker owns the new partition");
-            self.protos[i] = slice.proto;
-            self.workload_rng[i] = slice.workload_rng;
-            self.mobility_rng[i] = slice.mobility_rng;
-            self.activity_gen[i] = slice.activity_gen;
-            self.attach.force_place(m.mh, slice.attachment);
-            self.mailboxes.set_queue(m.mh, slice.holder, slice.queue);
-            self.store.set_latest(m.mh, slice.store_last);
-            self.loc.place(m.mh, slice.loc);
-            self.par
-                .as_mut()
-                .expect("parallel context installed")
-                .hist
-                .insert(i, slice.hist);
-            for (t, ev) in slice.pending {
-                sched.schedule_at(t, ev);
-            }
-        }
-    }
-
-    /// Resolves a worker's window outbox: for each deferred send whose
-    /// destination this worker owns, prices the wired leg against the
-    /// destination's cell *at the send instant* (window movement history,
-    /// falling back to the current directory row for hosts that did not
-    /// move) and schedules the delivery — exactly what the serial `do_send`
-    /// would have computed.
-    pub fn par_resolve(&mut self, sched: &mut Scheduler<Ev>, sends: &[CrossSend]) {
-        for cs in sends {
-            let i = cs.dest.idx();
-            let par = self.par.as_ref().expect("parallel context installed");
-            if par.owner[i] != par.me {
-                continue;
-            }
-            let from_hist = par.hist.get(&i).and_then(|h| {
-                h.iter().rev().find(|&&(t, _)| t <= cs.sent_at).map(|&(_, c)| c)
-            });
-            let dst_mss = from_hist.unwrap_or_else(|| self.loc.peek(cs.dest));
-            let mut latency = cs.base_latency;
-            if cs.src_mss != dst_mss {
-                latency += self.topo.wired_latency(cs.src_mss, dst_mss);
-                self.metrics.wired_hops += 1;
-            }
-            sched.schedule_at(
-                SimTime::new(cs.sent_at + latency),
-                Ev::Deliver { to: cs.dest, q: cs.q.clone() },
-            );
-        }
-    }
-
-    /// Closes the window: movement histories served their purpose (barrier
-    /// cross-send resolution) and reset.
-    pub fn par_end_window(&mut self) {
-        self.par.as_mut().expect("parallel context installed").hist.clear();
-    }
-
-    /// This worker's observed `mailbox.max_depth` gauge (0 with metrics
-    /// disabled); the runner folds the per-worker peaks into the final
-    /// registry before the report.
-    pub fn par_mailbox_peak(&self) -> f64 {
-        self.registry.gauge_value(self.mailbox_depth)
-    }
-
-    /// Folds a peer worker's counters into this replica and installs the
-    /// final state of the hosts the peer owned (mailbox queues for the
-    /// pending-at-end gauge, attachment, directory row, stored checkpoint).
-    /// Every counter is a sum of per-event increments, and each event fired
-    /// in exactly one worker, so the partition sums equal the serial total.
-    pub fn par_absorb(&mut self, other: &mut Simulation) {
-        let other_me = other.par.as_ref().expect("absorbing a parallel worker").me;
-        self.ckpts.cell_switch += other.ckpts.cell_switch;
-        self.ckpts.disconnect += other.ckpts.disconnect;
-        self.ckpts.forced += other.ckpts.forced;
-        self.ckpts.periodic += other.ckpts.periodic;
-        self.ckpts.coordinated += other.ckpts.coordinated;
-        for (a, b) in self.per_mh_ckpts.iter_mut().zip(&other.per_mh_ckpts) {
-            *a += b;
-        }
-        self.replacements += other.replacements;
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_delivered += other.msgs_delivered;
-        self.blocked_sends += other.blocked_sends;
-        self.metrics.absorb(&other.metrics);
-        self.attach.absorb_counters(&other.attach);
-        self.mailboxes.absorb_counters(&other.mailboxes);
-        self.neighbor_scans += other.neighbor_scans;
-        self.neighbors_scanned += other.neighbors_scanned;
-        for i in 0..self.cfg.n_mhs {
-            if other.par.as_ref().expect("checked above").owner[i] != other_me {
-                continue;
-            }
-            let mh = MhId(i);
-            let (holder, queue) = other.mailboxes.take_queue(mh);
-            // The base replica's copy of a peer-owned queue is stale but
-            // possibly non-empty (deliveries before the host migrated
-            // away); clear it so the install lands on an empty slot.
-            self.mailboxes.take_queue(mh);
-            self.mailboxes.set_queue(mh, holder, queue);
-            self.attach.force_place(mh, other.attach.attachment(mh));
-            self.loc.place(mh, other.loc.peek(mh));
-            self.store.set_latest(mh, other.store.latest(mh));
-        }
-    }
-
-    /// Builds the final report from the merged base replica. `out` is the
-    /// merged outcome (summed events, latest worker clock, the shared
-    /// termination verdict); `mailbox_peak` is the maximum per-worker
-    /// `mailbox.max_depth`. With `metrics` set, a fresh registry is
-    /// attached so `finalize_metrics` publishes the merged counters.
-    pub fn par_finish(
-        mut self,
-        protocol: String,
-        seed: u64,
-        out: RunOutcome,
-        profile: Option<EngineProfile>,
-        metrics: bool,
-        mailbox_peak: f64,
-    ) -> RunReport {
-        self.par = None;
-        if metrics {
-            self.registry = MetricsRegistry::new();
-            self.mailbox_depth = self.registry.gauge("mailbox.max_depth");
-            self.registry.set_max(self.mailbox_depth, mailbox_peak);
-        }
-        self.into_report(protocol, seed, out, profile)
     }
 }
 

@@ -41,6 +41,7 @@
 //! [`explore::replay`] re-runs a recorded counterexample schedule
 //! deterministically.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cic::CicKind;

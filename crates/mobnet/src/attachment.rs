@@ -212,33 +212,6 @@ impl AttachmentTable {
             .unwrap_or(&[])
     }
 
-    /// Overwrites `mh`'s attachment without charging any control traffic or
-    /// transition counters, maintaining the resident-list invariant. This is
-    /// the parallel runner installing a migrated host's authoritative state
-    /// on its new partition (or folding final states into the merge target),
-    /// not a simulated mobility transition — the simulated transition was
-    /// already counted on the partition where it happened.
-    pub fn force_place(&mut self, mh: MhId, att: Attachment) {
-        if let Attachment::Connected(cur) = self.state[mh.idx()] {
-            self.leave_cell(mh, cur);
-            self.connected -= 1;
-        }
-        if let Attachment::Connected(cell) = att {
-            self.join_cell(mh, cell);
-            self.connected += 1;
-        }
-        self.state[mh.idx()] = att;
-    }
-
-    /// Adds another table's transition counters into this one (parallel
-    /// end-of-run merge).
-    pub fn absorb_counters(&mut self, other: &AttachmentTable) {
-        self.handoffs += other.handoffs;
-        self.disconnects += other.disconnects;
-        self.reconnects += other.reconnects;
-        self.control_msgs += other.control_msgs;
-    }
-
     /// Total hand-offs performed.
     pub fn handoffs(&self) -> u64 {
         self.handoffs

@@ -113,32 +113,6 @@ impl<P> Mailboxes<P> {
     pub fn max_pending(&self) -> usize {
         self.queues.iter().map(VecDeque::len).max().unwrap_or(0)
     }
-
-    /// Detaches `mh`'s queue and holder for migration to another partition's
-    /// mailbox table, leaving an empty queue behind. No counters move — the
-    /// transfer is a bookkeeping hand-over, not a simulated forward; the
-    /// parallel runner merges `forwarded_msgs`/`enqueued` separately.
-    pub fn take_queue(&mut self, mh: MhId) -> (MssId, VecDeque<Queued<P>>) {
-        (self.holders[mh.idx()], std::mem::take(&mut self.queues[mh.idx()]))
-    }
-
-    /// Installs a queue and holder detached by [`take_queue`] on another
-    /// instance. The destination slot must be empty (a host lives in exactly
-    /// one partition at a time).
-    ///
-    /// [`take_queue`]: Mailboxes::take_queue
-    pub fn set_queue(&mut self, mh: MhId, holder: MssId, queue: VecDeque<Queued<P>>) {
-        debug_assert!(self.queues[mh.idx()].is_empty(), "migrating onto a live queue");
-        self.holders[mh.idx()] = holder;
-        self.queues[mh.idx()] = queue;
-    }
-
-    /// Adds another instance's activity counters into this one (parallel
-    /// end-of-run merge).
-    pub fn absorb_counters(&mut self, other: &Mailboxes<P>) {
-        self.forwarded_msgs += other.forwarded_msgs;
-        self.enqueued += other.enqueued;
-    }
 }
 
 /// Receiver-side duplicate suppression for the at-least-once transport.

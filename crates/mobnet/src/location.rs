@@ -52,13 +52,6 @@ impl LocationService {
         self.updates += 1;
     }
 
-    /// Writes the directory entry without charging an update — the parallel
-    /// runner replaying a peer partition's authoritative location onto its
-    /// local replica, not a simulated directory operation.
-    pub fn place(&mut self, mh: MhId, mss: MssId) {
-        self.dir[mh.idx()] = mss;
-    }
-
     /// Total searches performed (paper's location cost).
     pub fn lookups(&self) -> u64 {
         self.lookups

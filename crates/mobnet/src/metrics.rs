@@ -78,31 +78,6 @@ impl NetMetrics {
         self.per_mh_bytes[mh.idx()] += bytes;
     }
 
-    /// Adds another ledger's counters into this one, element-wise on the
-    /// per-host columns (parallel end-of-run merge; every counter is a sum
-    /// of per-event increments, so partition sums equal the serial total).
-    pub fn absorb(&mut self, other: &NetMetrics) {
-        self.app_msgs_sent += other.app_msgs_sent;
-        self.app_msgs_delivered += other.app_msgs_delivered;
-        self.control_msgs += other.control_msgs;
-        self.wireless_transmissions += other.wireless_transmissions;
-        self.wired_hops += other.wired_hops;
-        self.payload_bytes += other.payload_bytes;
-        self.piggyback_bytes += other.piggyback_bytes;
-        self.ckpt_wireless_bytes += other.ckpt_wireless_bytes;
-        self.ckpt_fetch_bytes += other.ckpt_fetch_bytes;
-        self.ckpt_fetches += other.ckpt_fetches;
-        self.searches += other.searches;
-        self.duplicates_injected += other.duplicates_injected;
-        self.duplicates_suppressed += other.duplicates_suppressed;
-        for (a, b) in self.per_mh_wireless.iter_mut().zip(&other.per_mh_wireless) {
-            *a += b;
-        }
-        for (a, b) in self.per_mh_bytes.iter_mut().zip(&other.per_mh_bytes) {
-            *a += b;
-        }
-    }
-
     /// Energy proxy for one host under `model`.
     pub fn energy_of(&self, mh: MhId, model: EnergyModel) -> f64 {
         self.per_mh_wireless[mh.idx()] as f64 * model.per_transmission

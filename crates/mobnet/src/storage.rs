@@ -147,14 +147,6 @@ impl CkptStore {
         self.last[mh.idx()]
     }
 
-    /// Overwrites the latest-checkpoint slot for `mh` without charging any
-    /// transfer — the parallel runner carrying a migrating host's stored
-    /// state between partitions; the transfers were already accounted on
-    /// the partition where the checkpoints happened.
-    pub fn set_latest(&mut self, mh: MhId, ckpt: Option<StoredCkpt>) {
-        self.last[mh.idx()] = ckpt;
-    }
-
     /// Total bytes shipped over wireless links for checkpointing.
     pub fn total_wireless_bytes(&self) -> u64 {
         self.total_wireless_bytes

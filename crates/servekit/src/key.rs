@@ -11,9 +11,9 @@
 //!   codec and the incremental-checkpoint model, both of which shape the
 //!   modelled byte counts — [`normalized_config_json`] adds them;
 //! * **exclude** host-local execution choices that are pinned byte-neutral:
-//!   the parallel backend's worker count (`--par-workers`) and the job-pool
-//!   size (`--jobs`) never move an artifact byte and are not part of
-//!   [`SimConfig`], so runs executed under any of them share cache entries.
+//!   the job-pool size (`--jobs`) never moves an artifact byte and is not
+//!   part of [`SimConfig`], so runs executed under any of them share cache
+//!   entries.
 //!
 //! The artifact schema tag (`mck.run/v1`, …) is hashed in, so a schema
 //! version bump invalidates every entry of that kind instead of serving
@@ -170,8 +170,8 @@ mod tests {
     #[test]
     fn run_key_ignores_host_local_knobs() {
         let base = SimConfig::default();
-        // Worker counts (`--jobs`, `--par-workers`) are byte-neutral and
-        // live outside `SimConfig`, so equal configs share one entry.
+        // The job count (`--jobs`) is byte-neutral and lives outside
+        // `SimConfig`, so equal configs share one entry.
         assert_eq!(run_key(&base), run_key(&base.clone()));
         let mut rle = base.clone();
         rle.pb_codec = PbCodec::Rle;

@@ -116,7 +116,6 @@ impl Default for EngineProfile {
 
 impl EngineProfile {
     /// An empty profile with the standard dispatch-latency bin shape.
-    /// Public so parallel backends can accumulate per-worker profiles.
     pub fn new() -> Self {
         EngineProfile {
             dispatch_ns: LogHistogram::new(16.0, 2.0, 32),
@@ -124,16 +123,6 @@ impl EngineProfile {
             events_handled: 0,
             wall_ns: 0,
         }
-    }
-
-    /// Folds another profile into this one: histogram and tally merge
-    /// observation-wise, event counts add, and wall time takes the max —
-    /// workers run concurrently, so the slowest one bounds the loop.
-    pub fn merge(&mut self, other: &EngineProfile) {
-        self.dispatch_ns.merge(&other.dispatch_ns);
-        self.queue_depth.merge(&other.queue_depth);
-        self.events_handled += other.events_handled;
-        self.wall_ns = self.wall_ns.max(other.wall_ns);
     }
 
     /// Average dispatch throughput over the whole run.
@@ -206,8 +195,9 @@ impl Progress {
 /// [`run_until`] with span attribution, wall-clock profiling, and optional
 /// live progress.
 ///
-/// Identical simulation semantics to [`run_until`] — same pop order, same
-/// horizon rule, same stop handling. On top it:
+/// It runs [`run_until`] itself over a [`Spanned`] adapter, so the pop
+/// order, horizon rule and stop handling are the plain loop's by
+/// construction. On top it:
 ///
 /// * opens one span per dispatched event, named by `classify(&event)`, on
 ///   `spans` (nested spans opened by the model during handling attach
@@ -227,56 +217,63 @@ pub fn run_until_spanned<M: Model>(
     horizon: SimTime,
     spans: &SpanProfiler,
     classify: fn(&M::Event) -> &'static str,
-    mut progress: Option<&mut Progress>,
+    progress: Option<&mut Progress>,
 ) -> (RunOutcome, EngineProfile) {
-    let mut profile = EngineProfile::new();
     let started = Instant::now();
-    let mut mark = started;
-    let mut handled = 0;
-    let outcome = loop {
-        match sched.peek_time() {
-            None => {
-                break RunOutcome {
-                    events_handled: handled,
-                    end_time: sched.now(),
-                    hit_horizon: false,
-                }
-            }
-            Some(t) if t >= horizon => {
-                break RunOutcome {
-                    events_handled: handled,
-                    end_time: sched.now(),
-                    hit_horizon: true,
-                }
-            }
-            Some(_) => {}
-        }
-        profile.queue_depth.record(sched.len() as f64);
-        let fired = sched.pop().expect("peeked event exists");
-        handled += 1;
-        let tok = spans.enter_at(classify(&fired.event), mark);
-        let control = model.handle(sched, fired);
-        let now = Instant::now();
-        spans.exit_at(tok, now);
-        profile.dispatch_ns.record(now.duration_since(mark).as_nanos() as f64);
-        if let Some(p) = progress.as_deref_mut() {
-            p.maybe_report(handled, sched.now(), now);
-        }
-        mark = now;
-        if control == Control::Stop {
-            break RunOutcome {
-                events_handled: handled,
-                end_time: sched.now(),
-                hit_horizon: false,
-            };
-        }
+    let mut spanned = Spanned {
+        inner: model,
+        spans,
+        classify,
+        progress,
+        profile: EngineProfile::new(),
+        mark: started,
     };
-    profile.events_handled = handled;
+    let outcome = run_until(&mut spanned, sched, horizon);
+    let mut profile = spanned.profile;
     profile.wall_ns = started.elapsed().as_nanos() as u64;
-    if let Some(p) = progress {
-        p.finish(handled, outcome.end_time);
+    if let Some(p) = spanned.progress {
+        p.finish(outcome.events_handled, outcome.end_time);
     }
     (outcome, profile)
+}
+
+/// The observer [`run_until_spanned`] wraps around a model: it does the
+/// per-event span, profile and progress bookkeeping around the inner
+/// model's `handle`.
+struct Spanned<'a, M: Model> {
+    inner: &'a mut M,
+    spans: &'a SpanProfiler,
+    classify: fn(&M::Event) -> &'static str,
+    progress: Option<&'a mut Progress>,
+    profile: EngineProfile,
+    /// When the previous event's span closed (the loop start for the
+    /// first event).
+    mark: Instant,
+}
+
+impl<M: Model> Model for Spanned<'_, M> {
+    type Event = M::Event;
+
+    fn handle(&mut self, sched: &mut Scheduler<M::Event>, fired: Fired<M::Event>) -> Control {
+        // `run_until` has just popped `fired`: add it back for the
+        // pending-set size before the pop.
+        self.profile.queue_depth.record((sched.len() + 1) as f64);
+        let tok = self
+            .spans
+            .enter_at((self.classify)(&fired.event), self.mark);
+        let control = self.inner.handle(sched, fired);
+        let now = Instant::now();
+        self.spans.exit_at(tok, now);
+        self.profile
+            .dispatch_ns
+            .record(now.duration_since(self.mark).as_nanos() as f64);
+        self.profile.events_handled += 1;
+        if let Some(p) = self.progress.as_deref_mut() {
+            p.maybe_report(self.profile.events_handled, sched.now(), now);
+        }
+        self.mark = now;
+        control
+    }
 }
 
 #[cfg(test)]
@@ -385,6 +382,67 @@ mod tests {
             snap.top_level_wall_ns() as f64 >= 0.5 * profile.wall_ns as f64
                 || profile.wall_ns < 10_000
         );
+    }
+
+    /// A model whose pending set grows and shrinks: the `k`-th event
+    /// schedules `k % 3` follow-ups until `budget` runs out.
+    struct Fan {
+        k: u32,
+        budget: u32,
+    }
+
+    impl Model for Fan {
+        type Event = ();
+
+        fn handle(&mut self, sched: &mut Scheduler<()>, _: Fired<()>) -> Control {
+            self.k += 1;
+            for i in 0..self.k % 3 {
+                if self.budget > 0 {
+                    self.budget -= 1;
+                    sched.schedule_in(1.0 + i as f64, ());
+                }
+            }
+            Control::Continue
+        }
+    }
+
+    #[test]
+    fn spanned_queue_depth_is_the_plain_loops_pre_pop_length() {
+        let horizon = SimTime::new(40.5);
+        let seed = |s: &mut Scheduler<()>| {
+            for t in [0.0, 0.0, 0.5, 3.0] {
+                s.schedule_at(SimTime::new(t), ());
+            }
+        };
+        // A hand-written plain loop, sampling the length before each pop.
+        let mut plain = Tally::new();
+        let mut m1 = Fan { k: 0, budget: 120 };
+        let mut s1 = Scheduler::new();
+        seed(&mut s1);
+        while s1.peek_time().is_some_and(|t| t < horizon) {
+            plain.record(s1.len() as f64);
+            let fired = s1.pop().expect("peeked event exists");
+            m1.handle(&mut s1, fired);
+        }
+
+        let mut m2 = Fan { k: 0, budget: 120 };
+        let mut s2 = Scheduler::new();
+        seed(&mut s2);
+        let (out, profile) = run_until_spanned(
+            &mut m2,
+            &mut s2,
+            horizon,
+            &SpanProfiler::disabled(),
+            |_| "fan",
+            None,
+        );
+        let depth = &profile.queue_depth;
+        assert!(plain.max() > Some(1.0), "the pending set must vary");
+        assert_eq!(out.events_handled, plain.count());
+        assert_eq!(depth.count(), plain.count());
+        assert_eq!(depth.sum(), plain.sum());
+        assert_eq!(depth.min(), plain.min());
+        assert_eq!(depth.max(), plain.max());
     }
 
     #[test]

@@ -196,29 +196,6 @@ impl<E> Scheduler<E> {
         })
     }
 
-    /// Removes every pending event matching `pred`, returning them sorted
-    /// by `(time, seq)` — the order [`pop`] would have drained them.
-    ///
-    /// This is the partition primitive for the parallel backend: a worker
-    /// bootstraps the full world, then strips the events it does not own;
-    /// at a hand-off migration the departing host's pending events are
-    /// extracted here and re-scheduled on the destination worker in the
-    /// returned order, preserving FIFO tie-breaking across the move.
-    ///
-    /// [`pop`]: Scheduler::pop
-    pub fn extract_where<F>(&mut self, mut pred: F) -> Vec<(SimTime, E)>
-    where
-        F: FnMut(&E) -> bool,
-    {
-        let (mut out, kept): (Vec<Entry<E>>, Vec<Entry<E>>) = std::mem::take(&mut self.heap)
-            .into_vec()
-            .into_iter()
-            .partition(|e| pred(&e.event));
-        self.heap = BinaryHeap::from(kept);
-        out.sort_by_key(|e| (e.time, e.seq));
-        out.into_iter().map(|e| (e.time, e.event)).collect()
-    }
-
     /// Total events popped so far (a throughput counter for benchmarks).
     pub fn popped(&self) -> u64 {
         self.popped
@@ -353,23 +330,6 @@ mod tests {
         assert!(s.take(99).is_none());
         assert_eq!(s.len(), 1);
         assert_eq!(s.pop().unwrap().event, "still-there");
-    }
-
-    #[test]
-    fn extract_where_preserves_order() {
-        let mut s = Scheduler::new();
-        s.schedule_at(SimTime::new(2.0), "b-keep");
-        s.schedule_at(SimTime::new(1.0), "a-take");
-        s.schedule_at(SimTime::new(1.0), "d-take");
-        s.schedule_at(SimTime::new(3.0), "e-keep");
-        let taken = s.extract_where(|e| e.ends_with("take"));
-        let got: Vec<_> = taken.iter().map(|(t, e)| (t.as_f64(), *e)).collect();
-        // Sorted (time, seq): the two t=1.0 entries keep schedule order.
-        assert_eq!(got, vec![(1.0, "a-take"), (1.0, "d-take")]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.pop().unwrap().event, "b-keep");
-        assert_eq!(s.pop().unwrap().event, "e-keep");
-        assert!(s.pop().is_none());
     }
 
     #[test]

@@ -104,26 +104,6 @@ impl SpanToken {
     };
 }
 
-/// Interns a runtime-built span name, returning a `&'static str`.
-///
-/// Span nodes store `&'static str` names so the hot path never hashes or
-/// clones strings; names composed at runtime (the parallel runner's
-/// per-worker `"worker3"` labels) go through this table once at setup time.
-/// Leaks one small allocation per distinct name for the process lifetime,
-/// bounded in practice by the worker count.
-pub fn intern_name(name: &str) -> &'static str {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static TABLE: OnceLock<Mutex<HashMap<String, &'static str>>> = OnceLock::new();
-    let mut map = TABLE.get_or_init(|| Mutex::new(HashMap::new())).lock().unwrap();
-    if let Some(&s) = map.get(name) {
-        return s;
-    }
-    let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    map.insert(name.to_owned(), leaked);
-    leaked
-}
-
 /// Cheap-clone handle to a span tree; disabled by default.
 ///
 /// See the [module docs](self) for the design. All operations on a disabled

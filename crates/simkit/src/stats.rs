@@ -42,26 +42,6 @@ impl Tally {
         self.max = self.max.max(x);
     }
 
-    /// Merges another tally into this one (parallel Welford combination).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n
@@ -178,26 +158,6 @@ impl LogHistogram {
         self.bins[idx] += 1;
     }
 
-    /// Merges another histogram into this one bin-wise.
-    ///
-    /// Both histograms must share the same shape (`first_edge`, `growth`,
-    /// bin count) — merging differently binned histograms would silently
-    /// misattribute counts, so it panics instead. Used by the parallel
-    /// runner to fold per-worker dispatch-latency histograms into one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert!(
-            self.first_edge == other.first_edge
-                && self.growth == other.growth
-                && self.bins.len() == other.bins.len(),
-            "cannot merge histograms with different bin shapes"
-        );
-        for (b, o) in self.bins.iter_mut().zip(&other.bins) {
-            *b += o;
-        }
-        self.underflow += other.underflow;
-        self.count += other.count;
-    }
-
     /// Total observations recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -300,41 +260,6 @@ mod tests {
         assert_eq!(t.min(), None);
         assert_eq!(t.max(), None);
         assert_eq!(t.ci95_half_width(), 0.0);
-    }
-
-    #[test]
-    fn tally_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.37 - 5.0).collect();
-        let mut whole = Tally::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tally_merge_with_empty() {
-        let mut a = Tally::new();
-        a.record(1.0);
-        let b = Tally::new();
-        let mut a2 = a;
-        a2.merge(&b);
-        assert_eq!(a2.mean(), 1.0);
-        let mut e = Tally::new();
-        e.merge(&a);
-        assert_eq!(e.mean(), 1.0);
-        assert_eq!(e.count(), 1);
     }
 
     #[test]

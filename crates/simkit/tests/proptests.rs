@@ -91,33 +91,6 @@ fn fork_reproducibility() {
     }
 }
 
-/// Tally::merge is equivalent to recording sequentially, at any split.
-#[test]
-fn tally_merge_any_split() {
-    for case in 0..CASES {
-        let mut gen = SimRng::new(0x5EED_0005 ^ case);
-        let n = 2 + gen.index(198);
-        let xs: Vec<f64> = (0..n).map(|_| gen.uniform_in(-1e6, 1e6)).collect();
-        let split = gen.index(n + 1);
-        let mut whole = Tally::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        for &x in &xs[..split] {
-            a.record(x);
-        }
-        for &x in &xs[split..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() <= 1e-6 * (1.0 + whole.mean().abs()));
-        assert!((a.variance() - whole.variance()).abs() <= 1e-5 * (1.0 + whole.variance().abs()));
-    }
-}
-
 /// index_excluding is a bijection-respecting remap: never the excluded
 /// index, always in range.
 #[test]

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use causality::trace::{CkptKind, MsgId, ProcId, TraceBuilder};
 use mck::prelude::*;
 use mobnet::topology::AdjacencyGraph;
+use mobnet::{LocationService, Mailboxes, MhId, MssId, PacketId, Queued};
 use simkit::event::Scheduler;
 use simkit::metrics::MetricsRegistry;
 use simkit::rng::SimRng;
@@ -102,6 +103,57 @@ fn ring_validation_is_linear_in_cells() {
             .map(|i| vec![(i + cells - 1) % cells, (i + 1) % cells])
             .collect();
         black_box(AdjacencyGraph::custom(ring).expect("a ring is strongly connected"));
+    });
+}
+
+/// Mailboxes under the delivery path's operation mix: `n` messages to 16
+/// hosts, a hand-off of the receiver every 8th message (forwarding its
+/// whole queue) and a receive every other message. Queues grow with `n`,
+/// so a forward or pop that walks the queue is quadratic.
+#[test]
+fn mailboxes_are_linear_in_messages() {
+    const HOSTS: usize = 16;
+    const CELLS: usize = 8;
+    let initial: Vec<MssId> = (0..HOSTS).map(|i| MssId(i % CELLS)).collect();
+    assert_linear("Mailboxes enqueue+relocate+pop", 20_000, |n| {
+        let mut boxes = Mailboxes::new(&initial);
+        for i in 0..n {
+            let to = MhId(i % HOSTS);
+            let from = MhId((i + 1) % HOSTS);
+            boxes.enqueue(
+                to,
+                Queued {
+                    packet: PacketId(i as u64),
+                    from,
+                    payload: (),
+                },
+            );
+            if i % 8 == 0 {
+                let next = MssId((boxes.holder(to).idx() + 1) % CELLS);
+                black_box(boxes.relocate(to, next));
+            }
+            if i % 2 == 0 {
+                black_box(boxes.pop(MhId(i / 2 % HOSTS)));
+            }
+        }
+        black_box(boxes.enqueued());
+    });
+}
+
+/// The location directory over `n` hosts: four rounds of one update (a
+/// hand-off) and one lookup (a send) per host.
+#[test]
+fn location_service_is_linear_in_hosts() {
+    const CELLS: usize = 8;
+    assert_linear("LocationService update+lookup", 20_000, |n| {
+        let mut loc = LocationService::new((0..n).map(|i| MssId(i % CELLS)).collect());
+        for round in 0..4 {
+            for i in 0..n {
+                loc.update(MhId(i), MssId((i + round + 1) % CELLS));
+                black_box(loc.lookup(MhId((i * 7 + round) % n)));
+            }
+        }
+        black_box(loc.lookups());
     });
 }
 
