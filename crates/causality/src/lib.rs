@@ -39,10 +39,8 @@
 #![warn(missing_docs)]
 
 pub mod cut;
-pub mod online;
 pub mod recovery;
 pub mod rgraph;
-pub mod textio;
 pub mod trace;
 pub mod zpath;
 
@@ -51,8 +49,6 @@ pub use cut::{
     max_consistent_cut_containing, orphans, Cut,
 };
 pub use recovery::{recovery_line_after_failure, rollback_cost, RollbackCost};
-pub use online::DependencyTracker;
 pub use rgraph::RGraph;
-pub use textio::{from_text, to_text, TextError};
 pub use trace::{CkptKind, CkptRecord, MsgId, MsgRecord, ProcId, Trace, TraceBuilder};
 pub use zpath::ZigzagGraph;

@@ -188,120 +188,6 @@ fn rgraph_agrees_with_fixpoint() {
     }
 }
 
-/// The ONLINE dependency-vector consistency test agrees with the offline
-/// orphan scan on arbitrary cuts of arbitrary traces — the vector
-/// characterization behind TP's CKPT[] mechanism.
-#[test]
-fn online_vectors_agree_with_orphan_scan() {
-    use causality::online::DependencyTracker;
-    for case in 0..CASES {
-        let mut gen = SimRng::new(0xCA_0006 ^ case);
-        let acts = gen_actions(&mut gen, 3, 60);
-        let cut_fracs: Vec<f64> = (0..3).map(|_| gen.uniform()).collect();
-        // Drive the tracker and the trace builder through the SAME event
-        // sequence (mirroring build_trace's delivery discipline).
-        let n = 3;
-        let mut b = TraceBuilder::new(n);
-        let mut tr = DependencyTracker::new(n);
-        let mut time = 1.0;
-        let mut next_msg = 0u64;
-        let mut in_flight: Vec<(MsgId, usize, usize, Vec<usize>)> = Vec::new();
-        for (step, act) in acts.iter().enumerate() {
-            let mut still = Vec::new();
-            for (id, due, to, pb) in in_flight.drain(..) {
-                if step >= due {
-                    b.recv(id, time);
-                    tr.on_receive(ProcId(to), &pb);
-                    time += 0.25;
-                } else {
-                    still.push((id, due, to, pb));
-                }
-            }
-            in_flight = still;
-            match *act {
-                Action::Ckpt { proc } => {
-                    let ord = tr.on_checkpoint(ProcId(proc));
-                    b.checkpoint(ProcId(proc), time, ord as u64, CkptKind::Periodic);
-                }
-                Action::Msg { from, to } => {
-                    next_msg += 1;
-                    b.send(MsgId(next_msg), ProcId(from), ProcId(to), time);
-                    let pb = tr.on_send(ProcId(from));
-                    in_flight.push((MsgId(next_msg), step + 2, to, pb));
-                }
-            }
-            time += 0.25;
-        }
-        for (id, _, to, pb) in in_flight {
-            b.recv(id, time);
-            tr.on_receive(ProcId(to), &pb);
-            time += 0.25;
-        }
-        let t = b.finish();
-        // Random cut (volatile components allowed).
-        let cut = Cut::new(
-            t.procs()
-                .map(|p| {
-                    let max = t.checkpoints(p).len(); // == volatile ordinal
-                    ((cut_fracs[p.idx()] * max as f64).round() as usize).min(max)
-                })
-                .collect(),
-        );
-        assert_eq!(
-            tr.cut_is_consistent(&cut),
-            is_consistent(&t, &cut),
-            "vector test disagrees with orphan scan on cut {:?}",
-            cut.ordinals()
-        );
-        // And the minimal containing cut really is consistent.
-        for p in t.procs() {
-            for k in 0..t.checkpoints(p).len() {
-                let minimal = tr.minimal_cut_containing(p, k);
-                assert!(
-                    is_consistent(&t, &minimal),
-                    "minimal cut for ({}, {}) inconsistent: {:?}",
-                    p,
-                    k,
-                    minimal.ordinals()
-                );
-            }
-        }
-    }
-}
-
-/// Text serialization round-trips arbitrary traces exactly.
-#[test]
-fn textio_round_trip() {
-    use causality::textio::{from_text, to_text};
-    for case in 0..CASES {
-        let mut gen = SimRng::new(0xCA_0007 ^ case);
-        let acts = gen_actions(&mut gen, 4, 80);
-        let t = build_trace(4, &acts);
-        let back = from_text(&to_text(&t)).expect("round trip parses");
-        assert_eq!(back.n_procs(), t.n_procs());
-        for p in t.procs() {
-            assert_eq!(back.checkpoints(p), t.checkpoints(p));
-        }
-        assert_eq!(back.messages().len(), t.messages().len());
-        for a in t.messages() {
-            let b = back
-                .messages()
-                .iter()
-                .find(|m| m.id == a.id)
-                .expect("message survives");
-            assert_eq!(a.send_interval, b.send_interval);
-            assert_eq!(a.recv_interval, b.recv_interval);
-            assert_eq!(a.from, b.from);
-            assert_eq!(a.to, b.to);
-        }
-        // Analyses agree on the reconstructed trace.
-        assert_eq!(
-            latest_recovery_line(&back).ordinals().to_vec(),
-            latest_recovery_line(&t).ordinals().to_vec()
-        );
-    }
-}
-
 /// latest_recovery_line equals the fixpoint from the latest stable cut.
 #[test]
 fn latest_line_definition() {

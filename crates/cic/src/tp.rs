@@ -85,12 +85,6 @@ pub struct Tp {
     retired_rle: Vec<Arc<Vec<VecRun>>>,
     /// Which wire form `on_send` emits.
     codec: PbCodec,
-    /// Ablation switch: reset `phase` to RECV when a basic checkpoint is
-    /// taken. The paper's pseudo-code does **not** do this (only a receive
-    /// resets the phase), so the faithful default is `false`; resetting is
-    /// safe (a checkpoint protects the preceding sends just as well) and
-    /// strictly reduces forced checkpoints, making it a natural ablation.
-    reset_phase_on_basic: bool,
 }
 
 /// Bound on retired wire encodings parked per host for recycling; an
@@ -99,15 +93,10 @@ pub struct Tp {
 const RETIRED_CAP: usize = 4;
 
 impl Tp {
-    /// A fresh instance for host `me` of `n` hosts, currently at MSS `mss`,
-    /// with the paper-faithful basic-checkpoint behaviour.
+    /// A fresh instance for host `me` of `n` hosts, currently at MSS `mss`.
+    /// A basic checkpoint keeps the phase, as in the paper's pseudo-code:
+    /// only a receive resets it.
     pub fn new(me: usize, n: usize, mss: u32) -> Self {
-        Self::with_options(me, n, mss, false)
-    }
-
-    /// Like [`Tp::new`], optionally enabling the phase-reset-on-basic
-    /// ablation.
-    pub fn with_options(me: usize, n: usize, mss: u32, reset_phase_on_basic: bool) -> Self {
         assert!(me < n, "host index {me} out of range for {n} hosts");
         let mut loc = vec![0; n];
         loc[me] = mss;
@@ -124,7 +113,6 @@ impl Tp {
             retired: Vec::new(),
             retired_rle: Vec::new(),
             codec: PbCodec::Dense,
-            reset_phase_on_basic,
         }
     }
 
@@ -325,9 +313,6 @@ impl Protocol for Tp {
 
     fn on_basic(&mut self, _reason: BasicReason) -> BasicCkpt {
         let index = self.take_checkpoint();
-        if self.reset_phase_on_basic {
-            self.phase = Phase::Recv;
-        }
         BasicCkpt {
             index,
             replaces_predecessor: false,
@@ -437,15 +422,6 @@ mod tests {
             t.on_receive(1, &pb(vec![0, 0], vec![0, 0])).forced,
             Some(2)
         );
-    }
-
-    #[test]
-    fn reset_phase_ablation_skips_redundant_forced_checkpoint() {
-        let mut t = Tp::with_options(0, 2, 0, true);
-        t.on_send(1);
-        t.on_basic(BasicReason::CellSwitch);
-        assert_eq!(t.phase(), Phase::Recv);
-        assert_eq!(t.on_receive(1, &pb(vec![0, 0], vec![0, 0])).forced, None);
     }
 
     #[test]

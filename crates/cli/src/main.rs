@@ -283,7 +283,25 @@ fn execute(handler: Handler, args: &Args) -> Result<String, ArgError> {
     // --jobs applies to every experiment command; 0 (the default) keeps the
     // MCK_JOBS / available-parallelism resolution.
     set_jobs(args.get_usize("jobs", 0)?);
+    if let Some(dir) = args.get("out-dir") {
+        check_out_dir(dir)?;
+    }
     handler(args)
+}
+
+/// Fails before any computation when `--out-dir` can never be a directory:
+/// the nearest existing ancestor of `dir` must be one. Creates nothing, so
+/// a command line the handler rejects leaves no directory behind; the
+/// artifact writer creates the missing levels.
+fn check_out_dir(dir: &str) -> Result<(), ArgError> {
+    let path = std::path::Path::new(dir);
+    match path.ancestors().find(|p| p.exists()) {
+        Some(p) if !p.is_dir() => Err(ArgError(format!(
+            "--out-dir {dir}: {} is not a directory",
+            p.display()
+        ))),
+        _ => Ok(()),
+    }
 }
 
 fn protocol_of(args: &Args) -> Result<ProtocolChoice, ArgError> {

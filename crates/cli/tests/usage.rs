@@ -45,3 +45,19 @@ fn handler_errors_print_one_line() {
     assert!(err.starts_with("error: "), "{err}");
     assert!(!err.contains("usage:"), "{err}");
 }
+
+#[test]
+fn unusable_out_dir_fails_before_computing() {
+    let file = std::env::temp_dir().join(format!("mck_usage_fig_{}", std::process::id()));
+    std::fs::write(&file, "a regular file").unwrap();
+    let dir = file.join("x");
+    let start = std::time::Instant::now();
+    let out = mck(&["fig", "all", "--out-dir", dir.to_str().unwrap()]);
+    let took = start.elapsed();
+    std::fs::remove_file(&file).ok();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.starts_with("error: --out-dir"), "{err}");
+    assert!(!err.contains("usage:"), "{err}");
+    assert!(took.as_secs_f64() < 5.0, "failed only after {took:?}");
+}

@@ -2,15 +2,15 @@
 //!
 //! The paper reports each point as the aggregate of "several simulation
 //! runs with different seeds" (results within 4 % of each other). The
-//! runner executes independent replications across a bounded work-stealing
-//! [`JobPool`] (one pool-sized set of workers, never one OS thread per
-//! run), and summarizes any scalar output with a mean and a 95 % Student-t
-//! confidence interval.
+//! runner executes independent replications with [`simkit::pool::run`]
+//! (a bounded set of workers sharing one job queue, never one OS thread
+//! per run), and summarizes any scalar output with a mean and a 95 %
+//! Student-t confidence interval.
 //!
 //! **Determinism contract**: every job owns its full configuration
 //! (including the seed) and shares no mutable state; results are collected
 //! in submission (= seed) order. The same config therefore produces
-//! byte-identical reports whether the pool has 1 worker or 64.
+//! byte-identical reports whether it runs on 1 worker or 64.
 //!
 //! The worker count resolves as: programmatic [`set_jobs`] override
 //! (the CLI's `--jobs N`) → the `MCK_JOBS` environment variable → the
@@ -18,7 +18,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use simkit::pool::{default_workers, Job, JobPool};
+use simkit::pool::{default_workers, Job};
 use simkit::stats::{Estimate, Tally};
 
 use crate::config::SimConfig;
@@ -51,11 +51,6 @@ pub fn jobs() -> usize {
     default_workers()
 }
 
-/// A job pool sized by [`jobs`].
-pub fn pool() -> JobPool {
-    JobPool::new(jobs())
-}
-
 /// Context label identifying one run in panic reports.
 pub(crate) fn job_context(cfg: &SimConfig) -> String {
     format!(
@@ -66,7 +61,7 @@ pub(crate) fn job_context(cfg: &SimConfig) -> String {
     )
 }
 
-/// Runs a batch of fully specified configurations across the job pool,
+/// Runs a batch of fully specified configurations on [`jobs`] workers,
 /// returning the reports in input order.
 ///
 /// If any run panics, every captured failure is reported to stderr with
@@ -74,11 +69,11 @@ pub(crate) fn job_context(cfg: &SimConfig) -> String {
 /// — a full-grid sweep thus names the exact configuration that failed
 /// instead of dying with an anonymous `join()` error.
 pub fn run_configs(configs: Vec<SimConfig>) -> Vec<RunReport> {
-    let jobs: Vec<Job<'_, RunReport>> = configs
+    let work: Vec<Job<'_, RunReport>> = configs
         .into_iter()
         .map(|c| Job::new(job_context(&c), move || Simulation::run(c)))
         .collect();
-    match pool().run(jobs) {
+    match simkit::pool::run(jobs(), work) {
         Ok(reports) => reports,
         Err(panics) => {
             for p in &panics {
@@ -90,8 +85,8 @@ pub fn run_configs(configs: Vec<SimConfig>) -> Vec<RunReport> {
     }
 }
 
-/// Runs `replications` copies of `cfg` with seeds `base_seed..`, across
-/// the job pool, returning the reports in seed order.
+/// Runs `replications` copies of `cfg` with seeds `base_seed..` on
+/// [`jobs`] workers, returning the reports in seed order.
 pub fn run_replications(cfg: &SimConfig, base_seed: u64, replications: usize) -> Vec<RunReport> {
     assert!(replications > 0, "need at least one replication");
     let configs: Vec<SimConfig> = (0..replications)
@@ -235,7 +230,6 @@ mod tests {
         // the sequence self-contained and restore the default at the end.
         set_jobs(3);
         assert_eq!(jobs(), 3);
-        assert_eq!(pool().workers(), 3);
         set_jobs(0);
         assert!(jobs() >= 1);
     }

@@ -21,9 +21,9 @@
 //! * [`http`] — a minimal HTTP/1.1 server/client over `std::net`;
 //! * [`server`] — the `mck serve` engine: `POST /run`, `POST /sweep`,
 //!   `GET /status`, `GET /metrics` (Prometheus), `POST /shutdown`; cache
-//!   hits answer immediately, misses dispatch onto the `simkit::pool` job
-//!   pool behind bounded admission (429 backpressure) and drain
-//!   gracefully on shutdown.
+//!   hits answer immediately, misses run through `simkit::pool::run`
+//!   behind bounded admission (429 backpressure) and drain gracefully on
+//!   shutdown.
 //!
 //! # Quickstart
 //!

@@ -1,5 +1,5 @@
 //! The sweep service: HTTP endpoints bridged onto the cache and the
-//! simulation job pool.
+//! simulation job queue.
 //!
 //! Request flow for `POST /run` and `POST /sweep`:
 //!
@@ -12,10 +12,10 @@
 //!    flight, beyond which the request is rejected with `429` backpressure
 //!    instead of queueing unboundedly;
 //! 4. identical in-flight keys coalesce onto one computation
-//!    ([`crate::coalesce`]); the leader dispatches onto the
-//!    [`simkit::pool`] job pool (deterministic, submission-ordered
-//!    collection) and publishes the artifact bytes to the cache before
-//!    anyone is answered, so cold and warm responses are byte-identical.
+//!    ([`crate::coalesce`]); the leader runs the computation through
+//!    [`simkit::pool::run`] (panic capture, submission-ordered results)
+//!    and publishes the artifact bytes to the cache before anyone is
+//!    answered, so cold and warm responses are byte-identical.
 //!
 //! `GET /status` reports counters as JSON; `GET /metrics` reuses the
 //! Prometheus exposition from `simkit::metrics`. `POST /shutdown` drains
@@ -167,25 +167,26 @@ impl ServeService {
             cfg.seed
         );
         self.serve_cached(&cache_key, mck::artifact::RUN_SCHEMA, move |metrics| {
-            let pool = mck::runner::pool();
             let run_cfg = cfg.clone();
-            let reports = pool
-                .run(vec![Job::new(context, move || {
-                    // Metrics on: the canonical artifact embeds the metric
-                    // snapshot (same instrumentation `mck run --metrics`
-                    // uses); overlays never change artifact bytes.
-                    Simulation::run_with(
-                        run_cfg,
-                        Instrumentation { metrics: true, ..Instrumentation::off() },
-                    )
-                })])
-                .map_err(|panics| {
-                    panics
-                        .iter()
-                        .map(ToString::to_string)
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                })?;
+            let job = Job::new(context, move || {
+                // Metrics on: the canonical artifact embeds the metric
+                // snapshot (same instrumentation `mck run --metrics`
+                // uses); overlays never change artifact bytes.
+                Simulation::run_with(
+                    run_cfg,
+                    Instrumentation {
+                        metrics: true,
+                        ..Instrumentation::off()
+                    },
+                )
+            });
+            let reports = simkit::pool::run(1, vec![job]).map_err(|panics| {
+                panics
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join("; ")
+            })?;
             let report = reports.into_iter().next().expect("one job, one report");
             metrics.sim_runs.fetch_add(1, Ordering::SeqCst);
             metrics.sim_events.fetch_add(report.events, Ordering::SeqCst);
@@ -239,8 +240,8 @@ impl ServeService {
         let base_seed = cfg.seed;
         let cache_key = key::sweep_key(&cfg, &ts, base_seed, reps);
         self.serve_cached(&cache_key, mck::artifact::SWEEP_SCHEMA, move |metrics| {
-            // run_sweep flattens points × replications onto the shared job
-            // pool and collects in submission (seed) order.
+            // run_sweep flattens points × replications into one job list
+            // and collects in submission (seed) order.
             let points = mck::experiments::run_sweep(&cfg, &ts, base_seed, reps);
             metrics
                 .sim_runs

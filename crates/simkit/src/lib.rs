@@ -7,7 +7,7 @@
 //! * [`event::Scheduler`] — the pending-event set, a binary heap with
 //!   deterministic FIFO tie-breaking;
 //! * [`driver`] — the generic pop/dispatch event loop;
-//! * [`pool::JobPool`] — a bounded work-stealing job pool that runs
+//! * [`pool::run`] — a bounded scoped-thread job queue that runs
 //!   independent jobs (whole simulation replications) across cores with
 //!   panic capture and deterministic, submission-ordered results;
 //! * [`rng::SimRng`] — a self-contained xoshiro256++ RNG with
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::event::{Fired, Scheduler};
     pub use crate::json::Json;
     pub use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-    pub use crate::pool::{Job, JobPanic, JobPool};
+    pub use crate::pool::{Job, JobPanic};
     pub use crate::rng::SimRng;
     pub use crate::span::{SpanProfiler, SpanRow, SpanScope, SpanSnapshot, SpanToken};
     pub use crate::stats::{Estimate, LogHistogram, Tally};

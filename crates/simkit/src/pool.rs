@@ -1,16 +1,14 @@
-//! Bounded work-stealing job pool for embarrassingly parallel runs.
+//! Bounded job queue for embarrassingly parallel runs.
 //!
 //! The experiment grid of the paper is hundreds of independent simulation
-//! runs (figures × sweep points × protocols × replications). [`JobPool`]
-//! executes such a job list across a fixed set of worker threads:
+//! runs (figures × sweep points × protocols × replications). [`run`]
+//! executes such a job list on a fixed set of scoped worker threads:
 //!
-//! * **Bounded** — one pool sized from [`std::thread::available_parallelism`]
-//!   (or an explicit worker count), never one OS thread per job.
-//! * **Work-stealing** — jobs start in a shared injector; each worker drains
-//!   a small batch into its own deque, pops its own work LIFO, and steals
-//!   FIFO from siblings when both its deque and the injector are empty.
-//!   The queues are coarse `Mutex`es, which is plenty: jobs here are whole
-//!   simulation runs (milliseconds each), not microtasks.
+//! * **Bounded** — `min(workers, jobs)` threads (at least one), never one
+//!   OS thread per job. The caller only waits.
+//! * **One shared queue** — every worker pulls the next job from one
+//!   `Mutex`-guarded iterator. One lock per job is plenty: jobs here are
+//!   whole simulation runs (milliseconds each), not microtasks.
 //! * **Deterministic collection** — results are returned in job submission
 //!   order no matter which worker ran what, so replication summaries are
 //!   independent of the worker count.
@@ -19,13 +17,11 @@
 //!   context string (e.g. `"tp t_switch=500 seed=42"`) so the caller can
 //!   report *which* configuration failed before propagating.
 //!
-//! Determinism contract: the pool never shares mutable state between jobs;
-//! each job owns its RNG (seeded from the job description), so the output
-//! of `run` is a pure function of the job list regardless of `workers`.
+//! Determinism contract: jobs never share mutable state; each job owns its
+//! RNG (seeded from the job description), so the output of [`run`] is a
+//! pure function of the job list regardless of `workers`.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// One unit of work: a context label (for panic reports) plus a closure.
@@ -78,154 +74,52 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// How many jobs a worker pulls from the injector per refill. Small enough
-/// to keep the tail balanced, large enough to amortize the injector lock.
-const REFILL_BATCH: usize = 4;
+/// Runs every job on `min(workers, jobs.len())` scoped threads (at least
+/// one), returning results in submission order.
+///
+/// After the first panic no job starts: the rest of the queue is
+/// abandoned (in-flight jobs finish), and every captured panic is returned
+/// in submission order so the caller can report them before propagating.
+pub fn run<'a, T: Send>(workers: usize, jobs: Vec<Job<'a, T>>) -> Result<Vec<T>, Vec<JobPanic>> {
+    let n_jobs = jobs.len();
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n_jobs).map(|_| None).collect());
+    let panics: Mutex<Vec<JobPanic>> = Mutex::new(Vec::new());
 
-/// A bounded work-stealing thread pool; see the module docs.
-#[derive(Debug, Clone)]
-pub struct JobPool {
-    workers: usize,
-}
-
-impl JobPool {
-    /// A pool with an explicit worker count (clamped to at least 1).
-    pub fn new(workers: usize) -> Self {
-        JobPool {
-            workers: workers.max(1),
-        }
-    }
-
-    /// A pool sized from [`std::thread::available_parallelism`] (1 if the
-    /// host cannot report it).
-    pub fn with_default_size() -> Self {
-        Self::new(default_workers())
-    }
-
-    /// Number of worker threads `run` will use.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs every job, returning results in submission order.
-    ///
-    /// On panic inside any job, the remaining queued jobs are abandoned
-    /// (in-flight jobs finish), and all captured panics are returned in
-    /// submission order so the caller can report them before propagating.
-    pub fn run<'a, T: Send>(&self, jobs: Vec<Job<'a, T>>) -> Result<Vec<T>, Vec<JobPanic>> {
-        let n_jobs = jobs.len();
-        if n_jobs == 0 {
-            return Ok(Vec::new());
-        }
-        if self.workers == 1 || n_jobs == 1 {
-            return run_sequential(jobs);
-        }
-
-        let workers = self.workers.min(n_jobs);
-        let injector: JobQueue<'a, T> = Mutex::new(jobs.into_iter().enumerate().collect());
-        let deques: Vec<JobQueue<'a, T>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        let results: Mutex<Vec<Option<T>>> =
-            Mutex::new((0..n_jobs).map(|_| None).collect());
-        let panics: Mutex<Vec<JobPanic>> = Mutex::new(Vec::new());
-        let abort = AtomicBool::new(false);
-
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let injector = &injector;
-                let deques = &deques;
-                let results = &results;
-                let panics = &panics;
-                let abort = &abort;
-                scope.spawn(move || {
-                    while !abort.load(Ordering::Relaxed) {
-                        let job = next_job(me, injector, deques);
-                        let Some((index, job)) = job else { break };
-                        let context = job.context;
-                        match catch_unwind(AssertUnwindSafe(job.work)) {
-                            Ok(value) => {
-                                results.lock().expect("results lock")[index] = Some(value);
-                            }
-                            Err(payload) => {
-                                panics.lock().expect("panics lock").push(JobPanic {
-                                    index,
-                                    context,
-                                    message: payload_message(payload.as_ref()),
-                                });
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                        }
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(n_jobs).max(1) {
+            scope.spawn(|| loop {
+                let next = queue.lock().expect("queue lock").next();
+                let Some((index, Job { context, work })) = next else {
+                    break;
+                };
+                match catch_unwind(AssertUnwindSafe(work)) {
+                    Ok(value) => results.lock().expect("results lock")[index] = Some(value),
+                    Err(payload) => {
+                        panics.lock().expect("panics lock").push(JobPanic {
+                            index,
+                            context,
+                            message: payload_message(payload.as_ref()),
+                        });
+                        // Abandon the rest of the queue: no job starts after a panic.
+                        queue.lock().expect("queue lock").by_ref().for_each(drop);
                     }
-                });
-            }
-        });
-
-        let mut panics = panics.into_inner().expect("panics lock");
-        if panics.is_empty() {
-            let results = results.into_inner().expect("results lock");
-            Ok(results
-                .into_iter()
-                .map(|r| r.expect("every job ran exactly once"))
-                .collect())
-        } else {
-            panics.sort_by_key(|p| p.index);
-            Err(panics)
+                }
+            });
         }
-    }
-}
+    });
 
-/// Inline fallback used for one worker or one job: same panic capture,
-/// no threads.
-fn run_sequential<T>(jobs: Vec<Job<'_, T>>) -> Result<Vec<T>, Vec<JobPanic>> {
-    let mut out = Vec::with_capacity(jobs.len());
-    for (index, job) in jobs.into_iter().enumerate() {
-        let context = job.context;
-        match catch_unwind(AssertUnwindSafe(job.work)) {
-            Ok(value) => out.push(value),
-            Err(payload) => {
-                return Err(vec![JobPanic {
-                    index,
-                    context,
-                    message: payload_message(payload.as_ref()),
-                }]);
-            }
-        }
+    let mut panics = panics.into_inner().expect("panics lock");
+    if panics.is_empty() {
+        let results = results.into_inner().expect("results lock");
+        Ok(results
+            .into_iter()
+            .map(|r| r.expect("every job ran exactly once"))
+            .collect())
+    } else {
+        panics.sort_by_key(|p| p.index);
+        Err(panics)
     }
-    Ok(out)
-}
-
-/// A lock-guarded deque of submission-indexed jobs (the injector and each
-/// worker's local deque share this shape).
-type JobQueue<'a, T> = Mutex<VecDeque<(usize, Job<'a, T>)>>;
-
-/// Worker `me`'s source order: own deque (LIFO), injector batch, steal
-/// from siblings (FIFO).
-fn next_job<'q, 'a, T>(
-    me: usize,
-    injector: &'q JobQueue<'a, T>,
-    deques: &'q [JobQueue<'a, T>],
-) -> Option<(usize, Job<'a, T>)> {
-    if let Some(job) = deques[me].lock().expect("deque lock").pop_back() {
-        return Some(job);
-    }
-    {
-        let mut inj = injector.lock().expect("injector lock");
-        if !inj.is_empty() {
-            let take = REFILL_BATCH.min(inj.len());
-            let mut mine = deques[me].lock().expect("deque lock");
-            for _ in 0..take {
-                mine.push_back(inj.pop_front().expect("checked non-empty"));
-            }
-            return mine.pop_back();
-        }
-    }
-    for off in 1..deques.len() {
-        let victim = (me + off) % deques.len();
-        if let Some(job) = deques[victim].lock().expect("deque lock").pop_front() {
-            return Some(job);
-        }
-    }
-    None
 }
 
 /// Host parallelism: `available_parallelism` with a floor of 1.
@@ -241,11 +135,10 @@ mod tests {
 
     #[test]
     fn results_in_submission_order() {
-        let pool = JobPool::new(4);
         let jobs: Vec<Job<'_, usize>> = (0..64)
             .map(|i| Job::new(format!("job {i}"), move || i * 10))
             .collect();
-        let out = pool.run(jobs).expect("no panics");
+        let out = run(4, jobs).expect("no panics");
         assert_eq!(out, (0..64).map(|i| i * 10).collect::<Vec<_>>());
     }
 
@@ -256,26 +149,24 @@ mod tests {
                 .map(|i| Job::new(format!("j{i}"), move || (i as u64).wrapping_mul(2654435761)))
                 .collect()
         };
-        let seq = JobPool::new(1).run(jobs(40)).unwrap();
-        let par = JobPool::new(8).run(jobs(40)).unwrap();
+        let seq = run(1, jobs(40)).unwrap();
+        let par = run(8, jobs(40)).unwrap();
         assert_eq!(seq, par);
     }
 
     #[test]
     fn jobs_can_borrow_from_caller() {
         let inputs: Vec<u32> = (0..32).collect();
-        let pool = JobPool::new(3);
         let jobs: Vec<Job<'_, u32>> = inputs
             .iter()
             .map(|x| Job::new("borrow", move || x + 1))
             .collect();
-        let out = pool.run(jobs).unwrap();
+        let out = run(3, jobs).unwrap();
         assert_eq!(out.iter().sum::<u32>(), inputs.iter().sum::<u32>() + 32);
     }
 
     #[test]
     fn panic_reports_context() {
-        let pool = JobPool::new(4);
         let jobs: Vec<Job<'_, ()>> = (0..8)
             .map(|i| {
                 Job::new(format!("seed={i}"), move || {
@@ -285,7 +176,7 @@ mod tests {
                 })
             })
             .collect();
-        let err = pool.run(jobs).unwrap_err();
+        let err = run(4, jobs).unwrap_err();
         assert!(!err.is_empty());
         let p = err.iter().find(|p| p.index == 5).expect("job 5 captured");
         assert_eq!(p.context, "seed=5");
@@ -294,31 +185,41 @@ mod tests {
     }
 
     #[test]
-    fn sequential_panic_reports_context() {
-        let pool = JobPool::new(1);
+    fn one_worker_stops_at_the_first_panic() {
+        let started = Mutex::new(Vec::new());
         let jobs: Vec<Job<'_, ()>> = vec![
-            Job::new("ok", || ()),
+            Job::new("ok", || started.lock().unwrap().push(0)),
             Job::new("bad seed=7", || panic!("kaput")),
+            Job::new("after", || started.lock().unwrap().push(2)),
         ];
-        let err = pool.run(jobs).unwrap_err();
+        let err = run(1, jobs).unwrap_err();
         assert_eq!(err.len(), 1);
         assert_eq!(err[0].index, 1);
         assert_eq!(err[0].context, "bad seed=7");
         assert_eq!(err[0].message, "kaput");
+        assert_eq!(
+            *started.lock().unwrap(),
+            vec![0],
+            "a job queued after the panic ran"
+        );
     }
 
     #[test]
     fn empty_job_list_is_ok() {
-        let pool = JobPool::with_default_size();
-        assert!(pool.workers() >= 1);
-        let out: Vec<u8> = pool.run(Vec::new()).unwrap();
+        assert!(default_workers() >= 1);
+        let out: Vec<u8> = run(default_workers(), Vec::new()).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn more_workers_than_jobs_is_fine() {
-        let pool = JobPool::new(16);
-        let out = pool.run(vec![Job::new("a", || 1), Job::new("b", || 2)]).unwrap();
+        let out = run(16, vec![Job::new("a", || 1), Job::new("b", || 2)]).unwrap();
         assert_eq!(out, vec![1, 2]);
+    }
+
+    #[test]
+    fn zero_workers_still_runs_every_job() {
+        let out = run(0, (0..5).map(|i| Job::new("z", move || i)).collect()).unwrap();
+        assert_eq!(out, vec![0, 1, 2, 3, 4]);
     }
 }

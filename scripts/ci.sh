@@ -19,6 +19,16 @@ cargo test -p relog -q
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# benchmark/ is a workspace of its own, so the steps above never compile
+# it. Build and test it against this tree with its committed lock file: a
+# deleted API it calls, or a dependency-edge change that would rewrite
+# benchmark/Cargo.lock, fails here. Its build output stays under target/.
+echo "==> benchmark/: build and test against the tree (--locked)"
+cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml \
+    --target-dir target/benchmark
+cargo test -q --release --offline --locked --manifest-path benchmark/Cargo.toml \
+    --target-dir target/benchmark
+
 mck="$PWD/target/release/mck"
 
 echo "==> smoke: mck run --metrics"
